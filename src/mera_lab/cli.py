@@ -6,11 +6,14 @@ problems writing outputs), 2 on usage errors.
 
 Tolerance precedence for `check`: --tolerance flag, then the
 MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
+A tolerance that is not a positive finite number and a non-finite sweep bound
+are usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -18,13 +21,7 @@ import numpy as np
 
 from . import bethe, checks, gates, mera, report, wavelet
 from .errors import MeraLabError
-from .heisenberg import (
-    BoundaryCondition,
-    ground_state,
-    hamiltonian,
-    project_sector,
-    sector_basis,
-)
+from .heisenberg import MAX_SITES, BoundaryCondition, ground_state, hamiltonian, sector_hamiltonian
 
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
@@ -43,6 +40,10 @@ def _resolve_tolerance(args: argparse.Namespace) -> float | None:
     return float(raw)
 
 
+def _bad_tolerance(tolerance: float | None) -> bool:
+    return tolerance is not None and not 0.0 < tolerance < math.inf
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -52,6 +53,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.sites != 4 or BoundaryCondition(args.bc) is not BoundaryCondition.PERIODIC:
         return _usage_error("optimize supports --sites 4 --bc periodic only")
     tolerance = _resolve_tolerance(args)
+    if _bad_tolerance(tolerance):
+        return _usage_error("tolerance must be a positive finite number")
     rep = report.build_report(entangler=args.entangler, tolerance=tolerance)
     text = report.document_json(rep)
     if args.out:
@@ -66,26 +69,31 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_ed(args: argparse.Namespace) -> int:
-    if not 2 <= args.sites <= 12:
-        return _usage_error("ed supports --sites in 2..12")
+    if not 2 <= args.sites <= MAX_SITES:
+        return _usage_error(f"ed supports --sites in 2..{MAX_SITES}")
+    n = args.sites
     bc = BoundaryCondition(args.bc)
-    h = hamiltonian(args.sites, bc)
-    energy, _ = ground_state(args.sites, bc)
-    print(f"sites={args.sites} bc={bc.value}")
-    print(f"E0 = {energy:.12f}")
-    print("sector spectra (by down-spin count):")
-    for n_down in range(args.sites + 1):
-        basis = sector_basis(args.sites, n_down)
-        block = project_sector(h, basis)
+    # One Sz block at a time; E0 is the lowest of the sector minima.
+    energy = math.inf
+    spectra = []
+    half = None
+    for n_down in range(n + 1):
+        block = sector_hamiltonian(n, n_down, bc)
         values = np.linalg.eigvalsh(block)
+        energy = min(energy, values[0])
         shown = ", ".join(f"{v:.6f}" for v in values[:8])
         suffix = ", ..." if len(values) > 8 else ""
-        print(f"  n_down={n_down} dim={len(basis.indices)}: {shown}{suffix}")
-    half = sector_basis(args.sites, args.sites // 2)
-    if len(half.indices) <= 10:
+        spectra.append(f"  n_down={n_down} dim={len(values)}: {shown}{suffix}")
+        if n_down == n // 2 and len(values) <= 10:
+            half = block
+    print(f"sites={n} bc={bc.value}")
+    print(f"E0 = {energy:.12f}")
+    print("sector spectra (by down-spin count):")
+    for line in spectra:
+        print(line)
+    if half is not None:
         print("half-filling block:")
-        block = project_sector(h, half).real
-        for row in block:
+        for row in half:
             print("  [" + "  ".join(f"{v:5.2f}" for v in row) + "]")
     return 0
 
@@ -95,7 +103,6 @@ def cmd_bethe(args: argparse.Namespace) -> int:
         return _usage_error("bethe supports --sites 4 only")
     if args.magnons not in (1, 2):
         return _usage_error("bethe supports --magnons 1 or 2")
-    h = hamiltonian(args.sites, BoundaryCondition.PERIODIC)
     if args.magnons == 2:
         solution = bethe.solve_two_magnon(args.sites)
         momenta = bethe.momenta_from_roots(solution.roots)
@@ -106,8 +113,7 @@ def cmd_bethe(args: argparse.Namespace) -> int:
         print(f"residual norm: {solution.residual_norm:.3e}")
         print(f"energy from roots: {energy:.12f}   exact ground energy: {energy_ed:.12f}")
     else:
-        basis = sector_basis(args.sites, 1)
-        values = np.linalg.eigvalsh(project_sector(h, basis))
+        values = np.linalg.eigvalsh(sector_hamiltonian(args.sites, 1, BoundaryCondition.PERIODIC))
         print("one-magnon states (finite rapidities):")
         print("  lambda        p            E")
         for lam in bethe.one_magnon_roots(args.sites):
@@ -122,6 +128,8 @@ def cmd_bethe(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 1:
         return _usage_error("sweep needs --steps >= 1")
+    if not (math.isfinite(args.theta_min) and math.isfinite(args.theta_max)):
+        return _usage_error("sweep needs finite --theta-min and --theta-max")
     if args.theta_min > args.theta_max:
         return _usage_error("sweep needs --theta-min <= --theta-max")
     h = hamiltonian(4, BoundaryCondition.PERIODIC)
@@ -172,6 +180,8 @@ def cmd_wavelet(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
+    if _bad_tolerance(tolerance):
+        return _usage_error("tolerance must be a positive finite number")
     results = checks.run_checks(tolerance=tolerance)
     for item in results:
         if item.passed is None:

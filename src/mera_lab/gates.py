@@ -25,10 +25,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, ResourceError, ShapeError
+from .heisenberg import MAX_SITES
 from .linalg import kron
-
-#: Largest register supported by the dense embeddings.
-MAX_SITES = 12
 
 #: Guard radius around the pole of the weight functions at nu = -2i.
 _POLE_GUARD = 1e-12

@@ -11,7 +11,7 @@ import numpy as np
 
 from mera_lab import bethe, checks, gates, mera, report
 from mera_lab.cli import main
-from mera_lab.heisenberg import BoundaryCondition, ground_state, hamiltonian, project_sector, sector_basis
+from mera_lab.heisenberg import BoundaryCondition, ground_state, hamiltonian, sector_hamiltonian
 
 from conftest import GROUND_PATTERN, SECTOR_INDICES, SZ0_BLOCK
 
@@ -57,8 +57,9 @@ def test_criterion_03_ground_coefficients():
 
 
 def test_criterion_04_half_filling_block_exact(h4):
-    block = project_sector(h4, sector_basis(4, 2))
-    assert np.array_equal(block, SZ0_BLOCK)
+    idx = list(SECTOR_INDICES)
+    assert np.array_equal(h4[np.ix_(idx, idx)], SZ0_BLOCK)
+    assert np.array_equal(sector_hamiltonian(4, 2, BoundaryCondition.PERIODIC), SZ0_BLOCK)
     announce(4, "half-filling block", "entrywise exact")
 
 

@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from mera_lab.cli import main
+from mera_lab.heisenberg import hamiltonian
 
 
 def payload_section(path) -> str:
@@ -61,6 +64,25 @@ class TestEd:
         assert main(["ed", "--sites", "13"]) == 2
         assert main(["ed", "--sites", "1"]) == 2
 
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ground_energy_matches_dense_spectrum(self, capsys, n, bc):
+        assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
+        line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("E0 = "))
+        dense = np.linalg.eigvalsh(hamiltonian(n, bc))[0]
+        assert abs(float(line[len("E0 = "):]) - dense) < 1e-12
+
+    def test_twelve_sites_never_forms_the_full_matrix(self, capsys):
+        # The dense 4096 x 4096 H alone is 134 MB; numpy reports its buffers to tracemalloc.
+        tracemalloc.start()
+        try:
+            assert main(["ed", "--sites", "12"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "dim=924" in capsys.readouterr().out
+        assert peak < 64 * 2**20
+
 
 class TestBethe:
     def test_default_two_magnons(self, capsys):
@@ -113,6 +135,11 @@ class TestSweep:
     def test_zero_steps(self):
         assert main(["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", "0"]) == 2
 
+    @pytest.mark.parametrize("bounds", [("nan", "0.1"), ("-0.1", "nan"), ("-inf", "0.1"), ("-0.1", "inf")])
+    def test_non_finite_range(self, capsys, bounds):
+        assert main(["sweep", f"--theta-min={bounds[0]}", f"--theta-max={bounds[1]}", "--steps", "3"]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestWavelet:
     def test_taps_and_angle_table(self, capsys):
@@ -146,6 +173,20 @@ class TestCheck:
     def test_invalid_env_value(self, monkeypatch):
         monkeypatch.setenv("MERA_LAB_TOLERANCE", "not-a-float")
         assert main(["check"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_rejects_bad_tolerance_flag(self, capsys, value):
+        assert main(["check", "--tolerance", value]) == 2
+        assert "positive finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_rejects_bad_env_tolerance(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MERA_LAB_TOLERANCE", value)
+        assert main(["check"]) == 2
+        assert "positive finite" in capsys.readouterr().err
+
+    def test_optimize_rejects_bad_tolerance(self):
+        assert main(["optimize", "--tolerance", "nan"]) == 2
 
 
 class TestUsage:

@@ -34,9 +34,8 @@ class TestHamiltonian:
         values = np.linalg.eigvalsh(hb.hamiltonian(2, OPEN))
         assert np.allclose(values, [-0.75, 0.25, 0.25, 0.25], atol=1e-14)
 
-    def test_half_filling_block_is_exact(self, h4):
-        block = hb.project_sector(h4, hb.sector_basis(4, 2))
-        assert np.array_equal(block, SZ0_BLOCK)
+    def test_half_filling_block_is_exact(self):
+        assert np.array_equal(hb.sector_hamiltonian(4, 2, PERIODIC), SZ0_BLOCK)
 
     def test_ground_energy_against_hand_eigenvector(self, h4):
         # Independent oracle: the known pattern is an exact eigenvector at -2.
@@ -62,6 +61,31 @@ class TestHamiltonian:
             hb.hamiltonian(13, PERIODIC)
 
 
+class TestSectorHamiltonian:
+    @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_dense_slice(self, n, bc):
+        # n = 2 periodic has the bond (0, 1) twice, so its exchange element is 1.
+        h = hb.hamiltonian(n, bc)
+        for n_down in range(n + 1):
+            idx = np.array(hb.sector_basis(n, n_down).indices)
+            assert np.array_equal(hb.sector_hamiltonian(n, n_down, bc), h[np.ix_(idx, idx)])
+
+    def test_all_up_sector(self):
+        assert np.array_equal(hb.sector_hamiltonian(4, 0, PERIODIC), np.array([[1.0]]))
+
+    def test_largest_block_is_real_symmetric(self):
+        block = hb.sector_hamiltonian(12, 6, PERIODIC)
+        assert block.shape == (924, 924)
+        assert np.array_equal(block, block.T)
+
+    def test_bounds(self):
+        with pytest.raises(ResourceError):
+            hb.sector_hamiltonian(13, 6, PERIODIC)
+        with pytest.raises(DomainError):
+            hb.sector_hamiltonian(4, 5, PERIODIC)
+
+
 class TestSectorBasis:
     def test_half_filling_four_sites(self):
         assert hb.sector_basis(4, 2).indices == SECTOR_INDICES
@@ -76,19 +100,11 @@ class TestSectorBasis:
         with pytest.raises(DomainError):
             hb.sector_basis(3, 4)
 
-
-class TestProjectSector:
-    def test_identity(self):
-        basis = hb.sector_basis(3, 1)
-        assert np.array_equal(hb.project_sector(np.eye(8), basis), np.eye(3))
-
-    def test_all_up_sector(self, h4):
-        block = hb.project_sector(h4, hb.sector_basis(4, 0))
-        assert np.array_equal(block, np.array([[1.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hb.project_sector(np.eye(8), hb.sector_basis(4, 2))
+    def test_matches_popcount_definition(self):
+        for n_down in range(9):
+            indices = hb.sector_basis(8, n_down).indices
+            assert indices == tuple(m for m in range(256) if bin(m).count("1") == n_down)
+            assert all(type(m) is int for m in indices)
 
 
 class TestGroundState:
@@ -148,12 +164,10 @@ class TestEnergyExpectation:
 class TestSymmetries:
     def test_magnetization_sectors_reproduce_full_spectrum(self):
         for n in (3, 4, 6):
-            h = hb.hamiltonian(n, PERIODIC)
-            full = np.sort(np.linalg.eigvalsh(h))
+            full = np.sort(np.linalg.eigvalsh(hb.hamiltonian(n, PERIODIC)))
             collected = []
             for n_down in range(n + 1):
-                block = hb.project_sector(h, hb.sector_basis(n, n_down))
-                collected.extend(np.linalg.eigvalsh(block))
+                collected.extend(np.linalg.eigvalsh(hb.sector_hamiltonian(n, n_down, PERIODIC)))
             assert np.allclose(np.sort(collected), full, atol=1e-10)
 
     def test_ground_state_spin_flip_symmetry(self, exact_ground):
