@@ -25,6 +25,9 @@ from .heisenberg import MAX_SITES, BoundaryCondition, ground_state, hamiltonian,
 
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
+#: Float options whose negative values (``-1e-3``, ``-inf``) argparse reads as options.
+_SIGNED_FLOAT_OPTIONS = ("--theta-min", "--theta-max")
+
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -238,10 +241,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_signed_floats(argv: list[str]) -> list[str]:
+    """Join ``--theta-min -1e-3`` into ``--theta-min=-1e-3``.
+
+    argparse reads a token such as ``-1e-3`` or ``-inf`` as an option of its
+    own, so the option before it would report a missing value.
+    """
+    joined = list(argv)
+    for i in range(len(joined) - 2, -1, -1):
+        if joined[i] in _SIGNED_FLOAT_OPTIONS and _is_float(joined[i + 1]):
+            joined[i : i + 2] = [f"{joined[i]}={joined[i + 1]}"]
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_floats(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

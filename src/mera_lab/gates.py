@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ShapeError
 from .heisenberg import MAX_SITES
-from .linalg import kron
 
 #: Guard radius around the pole of the weight functions at nu = -2i.
 _POLE_GUARD = 1e-12
@@ -139,7 +138,7 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
         raise ShapeError(f"site {site} out of range for {n} sites")
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n - site - 1), dtype=complex)
-    return kron(kron(left, gate), right)
+    return np.kron(np.kron(left, gate), right)
 
 
 def swap_layer(n: int) -> np.ndarray:
@@ -148,25 +147,4 @@ def swap_layer(n: int) -> np.ndarray:
         raise ShapeError(f"swap layer needs an even site count, got {n}")
     if n > MAX_SITES:
         raise ResourceError(f"register of {n} sites exceeds the supported {MAX_SITES}")
-    return reduce(kron, [swap()] * (n // 2))
-
-
-def monodromy(spec: EntanglerSpec, k: int) -> np.ndarray:
-    """Ordered product of entanglers at positions 1..2^k-1 on 2^k sites.
-
-    Factors are multiplied left to right starting from position 1, i.e. the
-    returned matrix is U_1 @ U_2 @ ... @ U_{2^k-1}; acting on a state, the
-    highest-position entangler is applied first.  Adjacent entanglers
-    overlap on one site, so the value does depend on this order; only gates
-    with disjoint supports commute.
-    """
-    if k < 1:
-        raise DomainError(f"coarse-graining level must be >= 1, got {k}")
-    n = 2 ** k
-    if n > MAX_SITES:
-        raise ResourceError(f"level {k} needs {n} sites, above the supported {MAX_SITES}")
-    gate = spec.matrix()
-    out = np.eye(2 ** n, dtype=complex)
-    for site in range(1, n):
-        out = out @ embed(gate, site, n)
-    return out
+    return reduce(np.kron, [swap()] * (n // 2))

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, ShapeError
+from .errors import DomainError, ResourceError
 
 MAX_SITES = 12
 
@@ -108,18 +108,3 @@ def ground_state(
     state = vectors[:, 0].astype(complex)
     state = state / np.linalg.norm(state)
     return float(values[0]), _fix_phase(state)
-
-
-def energy_expectation(h: np.ndarray, psi: np.ndarray) -> float:
-    """Rayleigh quotient <psi|H|psi>/<psi|psi>; the result must be real."""
-    h = np.asarray(h)
-    psi = np.asarray(psi, dtype=complex)
-    if h.shape[0] != h.shape[1] or h.shape[0] != psi.shape[0]:
-        raise ShapeError(f"incompatible shapes {h.shape} and {psi.shape}")
-    norm_sq = float(np.vdot(psi, psi).real)
-    if norm_sq <= 0.0:
-        raise DomainError("cannot score a zero state vector")
-    value = complex(np.vdot(psi, h @ psi)) / norm_sq
-    if abs(value.imag) > 1e-12:
-        raise NumericError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real

@@ -8,7 +8,9 @@ entangler embedded on the middle pair,
 applied to a product IR state |Omega> = L-vector (x) R-vector.  Conjugating
 the middle entangler by the swap layer turns it into an entangler across the
 outer pair (sites 1 and 4), so the ansatz entangles both ring bonds of the
-coarse lattice.
+coarse lattice.  The two entanglers then act on disjoint pairs, so the
+circuit is their outer product C[s1s2s3s4, t1t2t3t4] = U[s1s4, t1t4] U[s2s3, t2t3]
+(see :func:`circuit_matrix`).
 
 A subtlety matters for optimization.  Under a global spin flip the rotation
 entangler maps to its transpose (theta -> -theta), so the raw circuit breaks
@@ -120,11 +122,16 @@ def ir_state(iso: IsometryParams, tol: float = 1e-12) -> np.ndarray:
     return np.kron(iso.left_vector(), iso.right_vector())
 
 
-def circuit_matrix(gate: np.ndarray) -> np.ndarray:
-    """The full 16x16 four-layer circuit for a given two-site gate."""
-    inner = gates.embed(gate, 2, 4)
-    swaps = gates.swap_layer(4)
-    return swaps @ inner @ swaps @ inner
+def circuit_matrix(gate: np.ndarray, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> np.ndarray:
+    """The 16x16 circuit: the gate on pair (1, 4) times the gate on pair (2, 3).
+
+    Each entry of the layered product (swap layer, middle gate) x 2 has at
+    most one nonzero term, that same product of two gate entries, so this
+    form is bit-identical to it.  The open form puts the identity on (1, 4).
+    """
+    periodic = BoundaryCondition(bc) is BoundaryCondition.PERIODIC
+    outer = gate if periodic else np.eye(4, dtype=complex)
+    return np.einsum("adeh,bcfg->abcdefgh", outer.reshape(2, 2, 2, 2), gate.reshape(2, 2, 2, 2)).reshape(16, 16)
 
 
 def trial_state(
@@ -141,12 +148,7 @@ def trial_state(
     records whether it did.
     """
     omega = ir_state(iso, tol)
-    gate = spec.matrix()
-    if BoundaryCondition(bc) is BoundaryCondition.PERIODIC:
-        matrix = circuit_matrix(gate)
-    else:
-        matrix = gates.embed(gate, 2, 4)
-    state = matrix @ omega
+    state = circuit_matrix(spec.matrix(), bc) @ omega
     raw_norm = float(np.linalg.norm(state))
     if raw_norm < _DEGENERATE_NORM:
         raise DomainError("circuit annihilated the IR state (degenerate input)")
@@ -154,8 +156,8 @@ def trial_state(
     return TrialState(spec=spec, iso=iso, state=state / raw_norm, raw_norm=raw_norm, norm_applied=norm_applied)
 
 
-def _mirrored_unnormalized(gate: np.ndarray, u: complex, q: complex) -> np.ndarray:
-    """Left half of the circuit output, completed by its spin-flip image.
+def _mirrored_unnormalized(circuit: np.ndarray, u: complex, q: complex) -> np.ndarray:
+    """Left half of the periodic circuit output, completed by its spin-flip image.
 
     The inputs are the two free amplitudes of the weakly entangled IR family:
     ``u`` on |0101> and ``q`` on |0110> (their flip partners are implied).
@@ -164,7 +166,7 @@ def _mirrored_unnormalized(gate: np.ndarray, u: complex, q: complex) -> np.ndarr
     wl[5] = u
     wl[6] = q
     omega = np.concatenate([wl, wl[::-1]])
-    left = (circuit_matrix(gate) @ omega)[:8]
+    left = (circuit @ omega)[:8]
     return np.concatenate([left, left[::-1]])
 
 
@@ -172,7 +174,7 @@ def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
     """Normalized state of the mirrored family at ratio r = -R01/R10."""
     r10 = 1.0 / np.hypot(1.0, r)
     r01 = -r * r10
-    psi = _mirrored_unnormalized(spec.matrix(), r01, r10)
+    psi = _mirrored_unnormalized(circuit_matrix(spec.matrix()), r01, r10)
     norm = float(np.linalg.norm(psi))
     if norm < _DEGENERATE_NORM:
         raise DomainError("variational state degenerated to zero norm")
@@ -185,8 +187,10 @@ def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.nda
     Solves the 2x2 generalized eigenproblem in the span of the two basis
     states and returns (energy, r, normalized state).
     """
-    basis = [_mirrored_unnormalized(gate, 1.0, 0.0), _mirrored_unnormalized(gate, 0.0, 1.0)]
-    hm = np.array([[np.vdot(x, h @ y) for y in basis] for x in basis])
+    circuit = circuit_matrix(gate)
+    basis = [_mirrored_unnormalized(circuit, 1.0, 0.0), _mirrored_unnormalized(circuit, 0.0, 1.0)]
+    h_basis = [h @ y for y in basis]
+    hm = np.array([[np.vdot(x, hy) for hy in h_basis] for x in basis])
     sm = np.array([[np.vdot(x, y) for y in basis] for x in basis])
     try:
         values, vectors = scipy.linalg.eigh(hm, sm)
@@ -241,11 +245,13 @@ def solve_theta_numeric(
 ) -> ThetaSolution:
     """Derivative-free cross-check of the closed-form optimum.
 
-    Minimizes the energy of the mirrored family over theta in (-pi/2, pi/2),
-    with the ratio r eliminated per angle through the closed-form 2x2
-    eigenproblem: coarse grid bracketing, bounded scalar minimization to
-    1e-12 in theta, then a parabolic vertex fit to average out the flat
-    floating-point floor around the minimum.
+    Minimizes the energy of the mirrored family over the principal period
+    theta in (-pi/4, pi/4), with the ratio r eliminated per angle through the
+    closed-form 2x2 eigenproblem: coarse grid bracketing, bounded scalar
+    minimization to 1e-12 in theta, then a parabolic vertex fit to average
+    out the flat floating-point floor around the minimum.  The energy has
+    period pi/2: the gate at theta + pi/2 is the gate at theta after a signed
+    swap, which maps the flip-symmetric IR family onto itself (u -> -u).
     """
     if n != 4 or BoundaryCondition(bc) is not BoundaryCondition.PERIODIC:
         raise DomainError("numeric optimization is supported for the periodic 4-site ring only")
@@ -260,11 +266,12 @@ def _solve_theta_numeric_cached() -> ThetaSolution:
     def energy_at(theta: float) -> float:
         return optimal_ratio(gates.entangler_rotation(theta), h)[0]
 
+    # Grid points 501..1499 are exactly those with |theta| < pi/4; the bracket
+    # is read off the full grid so that its end points keep the same bits.
     grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
-    values = [energy_at(t) for t in grid]
-    k = int(np.argmin(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
+    values = [energy_at(t) for t in grid[501:1500]]
+    k = 501 + int(np.argmin(values))
+    lo, hi = grid[k - 1], grid[k + 1]
     result = scipy.optimize.minimize_scalar(
         energy_at, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
     )

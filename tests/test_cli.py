@@ -135,6 +135,17 @@ class TestSweep:
     def test_zero_steps(self):
         assert main(["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", "0"]) == 2
 
+    @pytest.mark.parametrize("bounds", [("-1e-3", "0.1"), ("-0.2", "-1e-1")])
+    def test_negative_scientific_bound_as_separate_token(self, capsys, bounds):
+        assert main(["sweep", f"--theta-min={bounds[0]}", f"--theta-max={bounds[1]}", "--steps", "3"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["sweep", "--theta-min", bounds[0], "--theta-max", bounds[1], "--steps", "3"]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_negative_infinity_as_separate_token(self, capsys):
+        assert main(["sweep", "--theta-min", "-inf", "--theta-max", "0.1", "--steps", "3"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bounds", [("nan", "0.1"), ("-0.1", "nan"), ("-inf", "0.1"), ("-0.1", "inf")])
     def test_non_finite_range(self, capsys, bounds):
         assert main(["sweep", f"--theta-min={bounds[0]}", f"--theta-max={bounds[1]}", "--steps", "3"]) == 2

@@ -155,6 +155,12 @@ class TestEmbed:
                     b = gates.embed(gate, j, n)
                     assert np.linalg.norm(a @ b - b @ a) < 1e-13
 
+    def test_adjacent_supports_do_not_commute(self):
+        gate = gates.entangler_rotation(0.4)
+        a = gates.embed(gate, 1, 4)
+        b = gates.embed(gate, 2, 4)
+        assert np.linalg.norm(a @ b - b @ a) > 1e-3
+
 
 class TestSwapLayer:
     def test_two_sites(self):
@@ -184,36 +190,6 @@ class TestSwapConjugation:
             inner = gates.embed(gates.entangler_rotation(theta), 2, 4)
             outer = swaps @ inner @ swaps
             assert np.linalg.norm(inner @ outer - outer @ inner) < 1e-13
-
-
-class TestMonodromy:
-    def test_level_one_is_single_gate(self):
-        spec = gates.EntanglerSpec.rotation(0.5)
-        assert np.array_equal(gates.monodromy(spec, 1), spec.matrix())
-
-    def test_level_two_matches_ordered_product(self):
-        spec = gates.EntanglerSpec.rotation(0.42)
-        gate = spec.matrix()
-        expected = gates.embed(gate, 1, 4) @ gates.embed(gate, 2, 4) @ gates.embed(gate, 3, 4)
-        assert np.array_equal(gates.monodromy(spec, 2), expected)
-
-    def test_zero_angle_is_identity(self):
-        spec = gates.EntanglerSpec.rotation(0.0)
-        assert np.array_equal(gates.monodromy(spec, 2), np.eye(16, dtype=complex))
-
-    def test_adjacent_gates_do_not_commute(self):
-        gate = gates.entangler_rotation(0.4)
-        a = gates.embed(gate, 1, 4)
-        b = gates.embed(gate, 2, 4)
-        assert np.linalg.norm(a @ b - b @ a) > 1e-3
-
-    def test_oversize_level(self):
-        with pytest.raises(ResourceError):
-            gates.monodromy(gates.EntanglerSpec.rotation(0.1), 4)
-
-    def test_invalid_level(self):
-        with pytest.raises(DomainError):
-            gates.monodromy(gates.EntanglerSpec.rotation(0.1), 0)
 
 
 class TestEntanglerSpec:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mera_lab import gates, mera
 from mera_lab.errors import ContractError, DomainError, ShapeError
@@ -60,6 +63,37 @@ def reordered_left_block(theta: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def layered_circuit(gate: np.ndarray) -> np.ndarray:
+    """The four layers as matrices: swap layer, gate on sites 2-3, twice."""
+    inner = gates.embed(gate, 2, 4)
+    swaps = gates.swap_layer(4)
+    return swaps @ inner @ swaps @ inner
+
+
+def reference_optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The 2x2 ratio solve with the circuit rebuilt from layers for each basis vector."""
+
+    def mirrored(u: complex, q: complex) -> np.ndarray:
+        wl = np.zeros(8, dtype=complex)
+        wl[5] = u
+        wl[6] = q
+        omega = np.concatenate([wl, wl[::-1]])
+        left = (layered_circuit(gate) @ omega)[:8]
+        return np.concatenate([left, left[::-1]])
+
+    basis = [mirrored(1.0, 0.0), mirrored(0.0, 1.0)]
+    hm = np.array([[np.vdot(x, h @ y) for y in basis] for x in basis])
+    sm = np.array([[np.vdot(x, y) for y in basis] for x in basis])
+    values, vectors = scipy.linalg.eigh(hm, sm)
+    u, q = vectors[:, 0]
+    state = u * basis[0] + q * basis[1]
+    return float(values[0]), float((-u / q).real), state / np.linalg.norm(state)
+
+
+ANGLES = st.floats(-4.0, 4.0)
+SPECTRAL_PARAMETERS = st.complex_numbers(max_magnitude=10.0).filter(lambda nu: abs(nu + 2j) >= 1e-6)
 
 
 def random_iso(rng: np.random.Generator) -> mera.IsometryParams:
@@ -213,6 +247,32 @@ class TestTrialState:
         assert abs(np.linalg.norm(ts.state) - 1.0) < 1e-13
 
 
+class TestCircuitMatrix:
+    @settings(deadline=None)
+    @given(theta=ANGLES, nu=SPECTRAL_PARAMETERS)
+    def test_outer_product_equals_layered_circuit(self, theta, nu):
+        for gate in (gates.entangler_rotation(theta), gates.rmatrix(nu)):
+            assert np.array_equal(mera.circuit_matrix(gate), layered_circuit(gate))
+            assert np.array_equal(mera.circuit_matrix(gate, BoundaryCondition.OPEN), gates.embed(gate, 2, 4))
+
+
+class TestOptimalRatio:
+    def test_bit_identical_to_layered_reference(self, h4):
+        rng = np.random.default_rng(40)
+        for theta in rng.uniform(-np.pi, np.pi, size=50):
+            gate = gates.entangler_rotation(theta)
+            energy, r, state = mera.optimal_ratio(gate, h4)
+            ref_energy, ref_r, ref_state = reference_optimal_ratio(gate, h4)
+            assert energy == ref_energy
+            assert r == ref_r
+            assert np.array_equal(state, ref_state)
+
+    def test_energy_has_period_half_pi(self, h4):
+        grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
+        energy = [mera.optimal_ratio(gates.entangler_rotation(t), h4)[0] for t in grid]
+        assert max(abs(energy[i] - energy[i + 1000]) for i in range(1001)) < 1e-14
+
+
 class TestVariationalState:
     def test_exact_ground_state_at_optimum(self, exact_ground):
         _, ground = exact_ground
@@ -267,6 +327,24 @@ class TestThetaSolvers:
         assert abs(numeric.energy - (-2.0)) < 1e-10
         assert numeric.fidelity >= 1.0 - 1e-10
         assert abs(numeric.r - np.sqrt(5.0)) < 1e-6
+
+    def test_numeric_optimum_in_principal_period(self):
+        assert -np.pi / 4 < mera.solve_theta_numeric().theta < np.pi / 4
+
+    def test_numeric_search_call_budget(self, monkeypatch):
+        cached = mera.solve_theta_numeric()
+        calls = 0
+        original = mera.optimal_ratio
+
+        def counting(gate, h):
+            nonlocal calls
+            calls += 1
+            return original(gate, h)
+
+        monkeypatch.setattr(mera, "optimal_ratio", counting)
+        mera._solve_theta_numeric_cached.cache_clear()
+        assert mera.solve_theta_numeric() == cached
+        assert calls <= 1100
 
     def test_numeric_rejects_unsupported_setup(self):
         with pytest.raises(DomainError):
