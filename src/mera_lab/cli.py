@@ -26,7 +26,7 @@ from .heisenberg import MAX_SITES, BoundaryCondition, ground_state, hamiltonian,
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
 #: Float options whose negative values (``-1e-3``, ``-inf``) argparse reads as options.
-_SIGNED_FLOAT_OPTIONS = ("--theta-min", "--theta-max")
+_SIGNED_FLOAT_OPTIONS = ("--theta-min", "--theta-max", "--tolerance")
 
 
 def _usage_error(message: str) -> int:
@@ -250,7 +250,7 @@ def _is_float(token: str) -> bool:
 
 
 def _attach_signed_floats(argv: list[str]) -> list[str]:
-    """Join ``--theta-min -1e-3`` into ``--theta-min=-1e-3``.
+    """Join ``--theta-min -1e-3`` into ``--theta-min=-1e-3`` (likewise the other signed floats).
 
     argparse reads a token such as ``-1e-3`` or ``-inf`` as an option of its
     own, so the option before it would report a missing value.

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import gates
 from .errors import ContractError, DomainError, NumericError, ShapeError
@@ -249,7 +248,9 @@ def solve_theta_numeric(
     theta in (-pi/4, pi/4), with the ratio r eliminated per angle through the
     closed-form 2x2 eigenproblem: coarse grid bracketing, bounded scalar
     minimization to 1e-12 in theta, then a parabolic vertex fit to average
-    out the flat floating-point floor around the minimum.  The energy has
+    out the flat floating-point floor around the minimum.  The bounded step
+    is an in-package Brent minimizer that follows scipy's
+    ``minimize_scalar(method="bounded")`` step for step.  The energy has
     period pi/2: the gate at theta + pi/2 is the gate at theta after a signed
     swap, which maps the flip-symmetric IR family onto itself (u -> -u).
     """
@@ -271,13 +272,7 @@ def _solve_theta_numeric_cached() -> ThetaSolution:
     grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
     values = [energy_at(t) for t in grid[501:1500]]
     k = 501 + int(np.argmin(values))
-    lo, hi = grid[k - 1], grid[k + 1]
-    result = scipy.optimize.minimize_scalar(
-        energy_at, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    if not result.success:
-        raise NumericError(f"scalar minimization failed: {result.message}")
-    theta = float(result.x)
+    theta = float(_minimize_bounded(energy_at, grid[k - 1], grid[k + 1], xatol=1e-12))
 
     step = 1e-5
     e_minus, e_zero, e_plus = energy_at(theta - step), energy_at(theta), energy_at(theta + step)
@@ -294,6 +289,99 @@ def _solve_theta_numeric_cached() -> ThetaSolution:
         energy=energy,
         fidelity=fidelity(state, ground),
     )
+
+
+def _minimize_bounded(func, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
+    """Bounded Brent minimization of ``func`` on [a, b] (Brent 1973, ch. 5).
+
+    A step-for-step port of ``scipy.optimize._optimize._minimize_scalar_bounded``
+    (Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD
+    3-clause licence, see ``LICENSES/scipy-BSD-3-Clause.txt``), without its
+    printing and result wrapper, so that it returns the same x, bit for bit,
+    after the same evaluations.
+    Reaching ``maxfun`` evaluations or a NaN raises :class:`NumericError`.
+    """
+    if not (np.isfinite(a) and np.isfinite(b) and a <= b):
+        raise DomainError(f"bounds ({a!r}, {b!r}) are not a finite interval")
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+    exhausted = False
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:
+            # Parabola through the three best points.
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            exhausted = True
+            break
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        raise NumericError("scalar minimization failed: NaN result encountered")
+    if exhausted:
+        raise NumericError(f"scalar minimization failed: {maxfun} function evaluations reached")
+    return xf
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

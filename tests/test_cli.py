@@ -199,6 +199,14 @@ class TestCheck:
     def test_optimize_rejects_bad_tolerance(self):
         assert main(["optimize", "--tolerance", "nan"]) == 2
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    @pytest.mark.parametrize("command", ["check", "optimize"])
+    def test_rejects_signed_tolerance_as_separate_token(self, capsys, command, value):
+        assert main([command, "--tolerance", value]) == 2
+        err = capsys.readouterr().err
+        assert "tolerance must be a positive finite number" in err
+        assert "expected one argument" not in err
+
 
 class TestUsage:
     def test_unknown_command(self):

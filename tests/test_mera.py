@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mera_lab import gates, mera
-from mera_lab.errors import ContractError, DomainError, ShapeError
+from mera_lab.errors import ContractError, DomainError, NumericError, ShapeError
 from mera_lab.heisenberg import BoundaryCondition, sector_basis
 
 from conftest import GROUND_PATTERN, SECTOR_INDICES
@@ -362,6 +367,85 @@ class TestThetaSolvers:
 
         slope = (energy(sol.theta + step) - energy(sol.theta - step)) / (2.0 * step)
         assert abs(slope) < 1e-6
+
+
+def recorded(func):
+    """``func`` plus the list of arguments it has been called with."""
+    calls = []
+
+    def wrapper(t):
+        calls.append(t)
+        return func(t)
+
+    return wrapper, calls
+
+
+def scipy_bounded_x(func, lo, hi, xatol):
+    result = scipy.optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(result.x)
+
+
+class TestMinimizeBounded:
+    def test_matches_scipy_on_every_energy_bracket(self, h4):
+        energies = {}
+
+        def energy_at(theta):
+            key = float(theta)
+            if key not in energies:
+                energies[key] = mera.optimal_ratio(gates.entangler_rotation(key), h4)[0]
+            return energies[key]
+
+        grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
+        for k in range(502, 1499):
+            ours, ours_calls = recorded(energy_at)
+            theirs, their_calls = recorded(energy_at)
+            x = float(mera._minimize_bounded(ours, grid[k - 1], grid[k + 1], xatol=1e-12))
+            assert x == scipy_bounded_x(theirs, grid[k - 1], grid[k + 1], 1e-12)
+            assert ours_calls == their_calls
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(1e-6, 10.0),
+        log_xatol=st.floats(-12.0, -3.0),
+        k=st.floats(0.1, 10.0),
+        c=st.floats(-2.0, 2.0),
+        decimals=st.sampled_from([None, 2, 4]),
+    )
+    def test_matches_scipy_on_smooth_objectives(self, lo, width, log_xatol, k, c, decimals):
+        # Rounding the objective to a few decimals makes plateaus, so ties
+        # between function values exercise the non-strict comparisons.
+        def objective(t):
+            value = float(np.sin(k * t) + c * t * t)
+            return value if decimals is None else round(value, decimals)
+
+        hi = lo + width
+        xatol = 10.0 ** log_xatol
+        ours, ours_calls = recorded(objective)
+        theirs, their_calls = recorded(objective)
+        x = float(mera._minimize_bounded(ours, lo, hi, xatol=xatol))
+        assert x == scipy_bounded_x(theirs, lo, hi, xatol)
+        assert ours_calls == their_calls
+
+    def test_nan_objective_raises(self):
+        with pytest.raises(NumericError, match="NaN"):
+            mera._minimize_bounded(lambda t: float("nan"), -1.0, 1.0, xatol=1e-12)
+
+    def test_evaluation_budget_raises(self):
+        with pytest.raises(NumericError, match="5 function evaluations"):
+            mera._minimize_bounded(lambda t: (t - 0.3) ** 2, -1.0, 1.0, xatol=1e-12, maxfun=5)
+
+    @pytest.mark.parametrize("bounds", [(1.0, -1.0), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_rejects_bounds_that_are_not_a_finite_interval(self, bounds):
+        with pytest.raises(DomainError):
+            mera._minimize_bounded(lambda t: t * t, *bounds, xatol=1e-12)
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mera.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, mera_lab.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestFidelity:
