@@ -6,8 +6,9 @@ problems writing outputs), 2 on usage errors.
 
 Tolerance precedence for `check`: --tolerance flag, then the
 MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
-A tolerance that is not a positive finite number and a non-finite sweep bound
-are usage errors.
+A tolerance that is not a positive finite number, a non-finite sweep bound
+and a sweep ``--steps`` outside 1..MAX_SWEEP_STEPS are usage errors.  A
+non-finite number in a report is a numeric failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from .errors import MeraLabError
 from .heisenberg import MAX_SITES, BoundaryCondition, ground_state, hamiltonian, sector_hamiltonian
 
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
+
+#: Largest ``sweep --steps``; the CSV text of a sweep this long is about 100 MB.
+MAX_SWEEP_STEPS = 1_000_000
+
+#: Sweep rows solved per batched call, which bounds the arrays a long sweep holds at once.
+SWEEP_BLOCK = 4096
 
 #: Float options whose negative values (``-1e-3``, ``-inf``) argparse reads as options.
 _SIGNED_FLOAT_OPTIONS = ("--theta-min", "--theta-max", "--tolerance")
@@ -129,8 +136,8 @@ def cmd_bethe(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.steps < 1:
-        return _usage_error("sweep needs --steps >= 1")
+    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
+        return _usage_error(f"sweep needs --steps in 1..{MAX_SWEEP_STEPS}")
     if not (math.isfinite(args.theta_min) and math.isfinite(args.theta_max)):
         return _usage_error("sweep needs finite --theta-min and --theta-max")
     if args.theta_min > args.theta_max:
@@ -139,16 +146,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _, ground = ground_state(4, BoundaryCondition.PERIODIC)
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     lines = ["theta,optimal_r,energy,fidelity,entropy"]
-    for theta in thetas:
-        energy, ratio, state = mera.optimal_ratio(gates.entangler_rotation(float(theta)), h)
-        row = (
-            float(theta),
-            ratio,
-            energy,
-            mera.fidelity(state, ground),
-            mera.entanglement_entropy(state, 2),
-        )
-        lines.append(",".join(format(v, ".17g") for v in row))
+    for start in range(0, args.steps, SWEEP_BLOCK):
+        block = thetas[start : start + SWEEP_BLOCK]
+        gate_stack = np.array([gates.entangler_rotation(float(theta)) for theta in block])
+        energies, ratios, states = mera.optimal_ratios(gate_stack, h)
+        columns = (block, ratios, energies, mera.fidelities(states, ground), mera.entanglement_entropies(states, 2))
+        for row in zip(*(column.tolist() for column in columns)):
+            lines.append(",".join(format(v, ".17g") for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_text(args.out, text)

@@ -1,6 +1,6 @@
 """Dense complex linear algebra kernel for desk-scale problems (dim <= 4096).
 
-Thin, contract-checked wrappers around numpy.linalg.  Matrices are plain
+Thin, shape-checked wrappers around numpy.  Matrices are plain
 row-major ndarrays treated as immutable values: every operation returns a
 new array and never mutates its inputs, so results are safe to share
 across concurrent tasks.
@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ShapeError
 
 #: Default absolute tolerance for elementwise comparisons.
 DEFAULT_TOL = 1e-12
-
-#: Hermiticity tolerance enforced by :func:`eigh`.
-HERMITICITY_TOL = 1e-10
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -48,37 +45,3 @@ def allclose(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         return False
     return bool(np.max(np.abs(a - b)) <= tol) if a.size else True
-
-
-def eigh(h: np.ndarray, hermiticity_tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as orthonormal columns.  The input is checked to be
-    Hermitian within ``hermiticity_tol``; violations raise ContractError.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"eigh needs a square matrix, got {h.shape}")
-    deviation = float(np.max(np.abs(h - h.conj().T)))
-    if deviation > hermiticity_tol:
-        raise ContractError(f"matrix is not Hermitian: max |h - h^dagger| = {deviation:.3e}")
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericError(f"eigendecomposition did not converge: {exc}") from exc
-    return values, vectors
-
-
-def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition m = u @ diag(s) @ adjoint(v).
-
-    Singular values are nonincreasing and nonnegative; u and v have
-    orthonormal columns.
-    """
-    m = np.asarray(m)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular value decomposition did not converge: {exc}") from exc
-    return u, s, vh.conj().T

@@ -22,15 +22,24 @@ family the exact ground state of the periodic four-site chain is reachable,
 and the optimal entangler angle has the closed form sin(-2 theta) = 1/sqrt(5).
 The discrepancy between the raw circuit and the mirrored family is measured
 and reported by the check suite rather than hidden.
+
+At fixed gate, the best ratio of the family's two amplitudes is closed form:
+project H onto the family's two basis states and solve the 2x2 generalized
+eigenproblem.  :func:`optimal_ratios` does this for a whole stack of gates at
+once, with a numpy-only replica of LAPACK ``zhegvd`` (:func:`_pencil_eigh`),
+and gives each gate the same bits as a solve of that gate alone;
+:func:`optimal_ratio` is the stack of one.  The numeric angle search and the
+CLI sweep pass their angle grids through it in a few calls, and the package
+imports no scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import gates
 from .errors import ContractError, DomainError, NumericError, ShapeError
@@ -180,30 +189,127 @@ def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
     return psi / norm
 
 
-def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Closed-form energy minimum over the two-amplitude family at fixed gate.
+#: Gate entries (row index array, column index array) that the mirrored basis
+#: needs, for the gate on sites (1, 4) with site 1 up and for the gate on
+#: sites (2, 3).  The four columns are, in order, the IR states |0101> and
+#: |1010> (amplitude u), then |0110> and |1001> (amplitude q).
+_OUTER_ENTRIES = (np.arange(2).reshape(1, 1, 1, 2), np.array([1, 2, 0, 3]).reshape(4, 1, 1, 1))
+_INNER_ENTRIES = (np.arange(4).reshape(1, 2, 2, 1), np.array([2, 1, 3, 0]).reshape(4, 1, 1, 1))
 
-    Solves the 2x2 generalized eigenproblem in the span of the two basis
-    states and returns (energy, r, normalized state).
+
+def _mirrored_basis(gate_stack: np.ndarray) -> np.ndarray:
+    """The states of u = 1 and q = 1 in the mirrored family, for each gate of a stack.
+
+    Returns an array [z, 2, 16], equal bit for bit to
+    ``_mirrored_unnormalized(circuit_matrix(gate), 1, 0)`` and ``(.., 0, 1)``.
+    Only the circuit entries C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with
+    s1 = 0 and t one of the four IR columns are formed.  The complex products
+    are spelled out in real arithmetic, as ``einsum`` forms them, because
+    numpy's complex multiply may fuse multiply-adds.
     """
-    circuit = circuit_matrix(gate)
-    basis = [_mirrored_unnormalized(circuit, 1.0, 0.0), _mirrored_unnormalized(circuit, 0.0, 1.0)]
-    h_basis = [h @ y for y in basis]
-    hm = np.array([[np.vdot(x, hy) for hy in h_basis] for x in basis])
-    sm = np.array([[np.vdot(x, y) for y in basis] for x in basis])
+    z = gate_stack.shape[0]
+    outer = gate_stack[:, _OUTER_ENTRIES[0], _OUTER_ENTRIES[1]]  # z, column, 1, 1, s4
+    inner = gate_stack[:, _INNER_ENTRIES[0], _INNER_ENTRIES[1]]  # z, column, s2, s3, 1
+    products = np.empty((z, 4, 2, 2, 2), dtype=complex)
+    products.real = outer.real * inner.real - outer.imag * inner.imag
+    products.imag = outer.real * inner.imag + outer.imag * inner.real
+    pairs = products.reshape(z, 2, 2, 8)
+    # The BLAS dots that use these rows need them contiguous, as the per-gate
+    # vectors were.  Adding 0.0 turns -0.0 into the +0.0 of the matrix product.
+    basis = np.empty((z, 2, 16), dtype=complex)
+    basis[..., :8] = pairs[:, :, 0] + pairs[:, :, 1] + 0.0
+    basis[..., 8:] = basis[..., 7::-1]
+    return basis
+
+
+def _pencil_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a stack of 2x2 Hermitian pencils a x = w b x, b positive definite.
+
+    Returns (w[z, 2] ascending, x[z, 2, 2] with eigenvectors as columns,
+    normalized so that x^H b x = I).  It repeats the steps of LAPACK
+    ``zhegvd`` (itype 1, lower), which is what ``scipy.linalg.eigh(a, b)``
+    runs, elementwise over the stack: the Cholesky factor b = L L^H as in
+    ``zpotf2``, with the off-diagonal scaled by the reciprocal of the pivot as
+    OpenBLAS does; the reduction C = L^-1 a L^-H as in ``zhegs2``; one stacked
+    ``np.linalg.eigh`` of C, which runs the same ``zheevd`` on each matrix;
+    and the back-transform x = L^-H y of ``ztrsm``, again through
+    reciprocals.  LAPACK is distributed under the modified BSD licence
+    (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999).
+
+    For a diagonal b, which is what every pencil of the mirrored family has,
+    the results equal ``scipy.linalg.eigh(a, b)`` bit for bit.  For other b,
+    OpenBLAS fuses multiply-adds in the ``zher2`` step of ``zhegs2``, so the
+    last bits can differ.  A non-finite entry, a b that is not positive
+    definite, or an eigensolver failure raises :class:`NumericError`.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericError("ratio optimization failed: the 2x2 pencil has non-finite entries")
+    not_definite = "ratio optimization failed: the overlap matrix is not positive definite"
+    b11 = b[:, 0, 0].real
+    if not (b11 > 0.0).all():
+        raise NumericError(not_definite)
+    l11 = np.sqrt(b11)
+    l21 = b[:, 1, 0] * (1.0 / l11)
+    d22 = b[:, 1, 1].real - (l21.real * l21.real + l21.imag * l21.imag)
+    if not (d22 > 0.0).all():
+        raise NumericError(not_definite)
+    l22 = np.sqrt(d22)
+
+    c11 = a[:, 0, 0].real / (l11 * l11)
+    half = -0.5 * c11
+    c21 = a[:, 1, 0] * (1.0 / l11) + half * l21
+    # zher2 adds -(c21 conj(l21)) - (l21 conj(c21)) to the real diagonal.
+    c22 = a[:, 1, 1].real - (c21.real * l21.real + c21.imag * l21.imag) - (l21.real * c21.real + l21.imag * c21.imag)
+    c21 = (c21 + half * l21) * (1.0 / l22)
+    c22 = c22 / (l22 * l22)
+    c = np.empty(a.shape, dtype=complex)
+    c[:, 0, 0] = c11
+    c[:, 1, 1] = c22
+    c[:, 1, 0] = c21
+    c[:, 0, 1] = np.conj(c21)
     try:
-        values, vectors = scipy.linalg.eigh(hm, sm)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        values, y = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"ratio optimization failed: {exc}") from exc
-    u, q = vectors[:, 0]
-    if abs(q) < 1e-300:
+
+    x = np.empty_like(y)
+    x[:, 1] = y[:, 1] * (1.0 / l22)[:, None]
+    x[:, 0] = (y[:, 0] - np.conj(l21)[:, None] * x[:, 1]) * (1.0 / l11)[:, None]
+    return values, x
+
+
+def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form energy minimum over the two-amplitude family, for each gate of a stack.
+
+    For each gate of ``gate_stack`` [z, 4, 4] this projects ``h`` onto the
+    span of the two basis states of the mirrored family, solves the 2x2
+    generalized eigenproblem with :func:`_pencil_eigh`, and returns the
+    lowest energies [z], the ratios r = -u/q [z] and the normalized states
+    [z, 16].  Each row equals, bit for bit, what the same steps give for
+    that gate alone: the projections and the state norm use ``np.vecdot``,
+    which runs the same BLAS dot as ``np.vdot`` and ``np.linalg.norm``.
+    A vanishing q or a ratio that is not real raises :class:`NumericError`.
+    """
+    basis = _mirrored_basis(gate_stack)
+    h_basis = (h @ basis[..., None])[..., 0]
+    hm = np.vecdot(basis[:, :, None, :], h_basis[:, None, :, :])
+    sm = np.vecdot(basis[:, :, None, :], basis[:, None, :, :])
+    values, vectors = _pencil_eigh(hm, sm)
+    u, q = vectors[:, 0, 0], vectors[:, 1, 0]
+    if (np.abs(q) < 1e-300).any():
         raise NumericError("optimal ratio diverged (q amplitude vanished)")
-    ratio = -u / q
-    if abs(ratio.imag) > 1e-9 * max(1.0, abs(ratio.real)):
-        raise NumericError(f"optimal ratio is not real: {ratio!r}")
-    state = u * basis[0] + q * basis[1]
-    state = state / np.linalg.norm(state)
-    return float(values[0]), float(ratio.real), state
+    ratios = -u / q
+    if (np.abs(ratios.imag) > 1e-9 * np.maximum(1.0, np.abs(ratios.real))).any():
+        raise NumericError(f"optimal ratio is not real: {ratios[np.argmax(np.abs(ratios.imag))]!r}")
+    states = u[:, None] * basis[:, 0] + q[:, None] * basis[:, 1]
+    norms = np.sqrt(np.vecdot(states.real, states.real) + np.vecdot(states.imag, states.imag))
+    return values[:, 0], ratios.real, states / norms[:, None]
+
+
+def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """:func:`optimal_ratios` for one gate: (energy, r, normalized state)."""
+    energies, ratios, states = optimal_ratios(gate[None], h)
+    return float(energies[0]), float(ratios[0]), states[0]
 
 
 def solve_theta_analytic(target: tuple[float, float, float] = (1.0, -2.0, 1.0)) -> ThetaSolution:
@@ -248,8 +354,10 @@ def solve_theta_numeric(
     theta in (-pi/4, pi/4), with the ratio r eliminated per angle through the
     closed-form 2x2 eigenproblem: coarse grid bracketing, bounded scalar
     minimization to 1e-12 in theta, then a parabolic vertex fit to average
-    out the flat floating-point floor around the minimum.  The bounded step
-    is an in-package Brent minimizer that follows scipy's
+    out the flat floating-point floor around the minimum.  The 999 grid
+    angles are solved in one :func:`optimal_ratios` call; the bounded step
+    and the parabola evaluate one angle at a time.  The bounded step is an
+    in-package Brent minimizer that follows scipy's
     ``minimize_scalar(method="bounded")`` step for step.  The energy has
     period pi/2: the gate at theta + pi/2 is the gate at theta after a signed
     swap, which maps the flip-symmetric IR family onto itself (u -> -u).
@@ -270,7 +378,7 @@ def _solve_theta_numeric_cached() -> ThetaSolution:
     # Grid points 501..1499 are exactly those with |theta| < pi/4; the bracket
     # is read off the full grid so that its end points keep the same bits.
     grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
-    values = [energy_at(t) for t in grid[501:1500]]
+    values = optimal_ratios(np.array([gates.entangler_rotation(t) for t in grid[501:1500]]), h)[0]
     k = 501 + int(np.argmin(values))
     theta = float(_minimize_bounded(energy_at, grid[k - 1], grid[k + 1], xatol=1e-12))
 
@@ -390,34 +498,72 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ShapeError(f"vectors of shapes {a.shape} and {b.shape} cannot overlap")
-    na = float(np.vdot(a, a).real)
-    nb = float(np.vdot(b, b).real)
-    if na <= 0.0 or nb <= 0.0:
+    return float(fidelities(a.reshape(1, -1), b.reshape(-1))[0])
+
+
+def fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Squared normalized overlap |<s|t>|^2 / (|s|^2 |t|^2) of each row s of ``states`` with ``target``.
+
+    Each row equals, bit for bit, what the same steps give for that row
+    alone.  The overlaps and norms use ``np.vecdot``, the same BLAS dot as
+    ``np.vdot``.  The modulus of each overlap is ``np.hypot`` of its parts,
+    which is libm ``hypot`` like the ``abs`` of a numpy complex scalar; numpy's
+    array ``abs`` of a complex array differs in the last bit for about a third
+    of random complex numbers.  The modulus is squared with libm ``pow``, which
+    is what ``** 2`` of a numpy float64 scalar runs; the array square x * x
+    differs in rare cases (15 of the 20 001 rows of a sweep over [-3, 3]).
+    """
+    states = np.asarray(states, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    if states.ndim != 2 or states.shape[1:] != target.shape:
+        raise ShapeError(f"rows of shape {states.shape[1:]} and a target of shape {target.shape} cannot overlap")
+    norms = np.vecdot(states, states).real
+    target_norm = float(np.vdot(target, target).real)
+    if (norms <= 0.0).any() or target_norm <= 0.0:
         raise DomainError("fidelity of a zero vector is undefined")
-    return float(abs(np.vdot(a, b)) ** 2 / (na * nb))
+    overlaps = np.vecdot(states, target)
+    moduli = np.hypot(overlaps.real, overlaps.imag).tolist()
+    return np.array([math.pow(x, 2.0) for x in moduli]) / (norms * target_norm)
 
 
 def entanglement_entropy(psi: np.ndarray, cut: int) -> float:
-    """Von Neumann entropy (nats) of the leftmost ``cut`` sites.
-
-    Computed from the singular values of the cut-reshaped amplitude matrix;
-    squared singular values below 1e-15 are dropped.
-    """
+    """Von Neumann entropy (nats) of the leftmost ``cut`` sites: :func:`entanglement_entropies` of one state."""
     psi = np.asarray(psi, dtype=complex)
-    dim = psi.shape[0]
+    if psi.ndim != 1:
+        raise ShapeError(f"expected one state vector, got shape {psi.shape}")
+    return float(entanglement_entropies(psi[None], cut)[0])
+
+
+def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
+    """Von Neumann entropy (nats) of the leftmost ``cut`` sites, for each row of ``states``.
+
+    Computed from the singular values of each cut-reshaped amplitude matrix,
+    in one stacked SVD; normalized squared singular values at or below 1e-15
+    are dropped.  The rows are summed in groups that keep the same number of
+    weights, so each entropy equals, bit for bit, the sum over that row's
+    kept weights alone.
+    """
+    states = np.asarray(states, dtype=complex)
+    dim = states.shape[-1]
     n = dim.bit_length() - 1
-    if psi.ndim != 1 or 2 ** n != dim:
+    if states.ndim != 2 or 2 ** n != dim:
         raise ShapeError(f"state length {dim} is not a power of two")
     if not 1 <= cut < n:
         raise ShapeError(f"cut {cut} invalid for {n} sites")
-    singulars = np.linalg.svd(psi.reshape(2 ** cut, -1), compute_uv=False)
+    singulars = np.linalg.svd(states.reshape(len(states), 2 ** cut, -1), compute_uv=False)
     weights = singulars ** 2
-    total = float(weights.sum())
-    if total <= 0.0:
+    totals = weights.sum(axis=-1)
+    if (totals <= 0.0).any():
         raise DomainError("entropy of a zero vector is undefined")
-    weights = weights / total
-    weights = weights[weights > 1e-15]
-    return float(-(weights * np.log(weights)).sum()) + 0.0
+    weights = weights / totals[:, None]
+    # Singular values come in descending order, so the kept weights are a prefix.
+    kept = np.count_nonzero(weights > 1e-15, axis=-1)
+    entropies = np.empty(len(states))
+    for count in np.unique(kept):
+        rows = kept == count
+        w = weights[rows, :count]
+        entropies[rows] = -(w * np.log(w)).sum(axis=-1)
+    return entropies + 0.0
 
 
 def solve_nu_fit() -> NuFitResult:

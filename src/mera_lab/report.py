@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import bethe, checks, gates, mera, wavelet
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .heisenberg import BoundaryCondition, ground_state, hamiltonian, sector_basis
 
 SCHEMA_VERSION = "1"
@@ -127,7 +127,7 @@ def _render(value: Any) -> str:
         return str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value!r}")
+            raise NumericError(f"cannot serialize non-finite float {value!r}")
         return format(value, ".17g")
     if isinstance(value, str):
         out = value.replace("\\", "\\\\").replace('"', '\\"')

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mera_lab import cli, report
 from mera_lab.cli import main
 from mera_lab.heisenberg import hamiltonian
 
@@ -46,6 +47,12 @@ class TestOptimize:
 
     def test_unwritable_output(self):
         assert main(["optimize", "--out", "/nonexistent_dir_zz/report.json"]) == 1
+
+    def test_non_finite_report_value_is_a_numeric_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "build_report", lambda **kwargs: None)
+        monkeypatch.setattr(report, "document_json", lambda rep: report._render(math.nan))
+        assert main(["optimize"]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestEd:
@@ -134,6 +141,40 @@ class TestSweep:
 
     def test_zero_steps(self):
         assert main(["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", "0"]) == 2
+
+    def test_steps_above_the_limit_rejected_before_allocating(self, capsys):
+        steps = str(cli.MAX_SWEEP_STEPS + 1)
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", steps]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"--steps in 1..{cli.MAX_SWEEP_STEPS}" in capsys.readouterr().err
+        # np.linspace alone would take 8 MB for this many angles.
+        assert peak < 2**20
+
+    def test_blocked_rows_equal_one_block(self, capsys, monkeypatch):
+        argv = ["sweep", "--theta-min", "-1.5", "--theta-max", "1.5", "--steps", "30"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_long_sweep_memory_stays_bounded(self, tmp_path):
+        # Rows are solved SWEEP_BLOCK at a time; one batch of all 100 001 rows
+        # would hold over 150 MB of basis, product and state arrays.
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            argv = ["sweep", "--theta-min", "-1.5", "--theta-max", "1.5", "--steps", "100001", "--out", str(out)]
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 100002
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("bounds", [("-1e-3", "0.1"), ("-0.2", "-1e-1")])
     def test_negative_scientific_bound_as_separate_token(self, capsys, bounds):

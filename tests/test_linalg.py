@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from mera_lab import linalg
-from mera_lab.errors import ContractError, ShapeError
+from mera_lab.errors import ShapeError
 from mera_lab.gates import entangler_rotation, swap
-
-from conftest import GROUND_PATTERN, SZ0_BLOCK
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -69,78 +67,6 @@ def test_adjoint():
     assert np.array_equal(linalg.adjoint(swap()), swap())
     theta = 0.61
     assert linalg.allclose(linalg.adjoint(entangler_rotation(theta)), entangler_rotation(-theta), tol=0.0)
-
-
-def test_eigh_diagonal():
-    values, _ = linalg.eigh(np.diag([2.0, 1.0]).astype(complex))
-    assert np.allclose(values, [1.0, 2.0])
-
-
-def test_eigh_half_filling_block():
-    # Independent oracle first: the stated eigenvector satisfies H v = -2 v.
-    v = GROUND_PATTERN
-    assert np.max(np.abs(SZ0_BLOCK @ v - (-2.0) * v)) == 0.0
-    values, vectors = linalg.eigh(SZ0_BLOCK)
-    assert abs(values[0] - (-2.0)) < 1e-12
-    overlap = abs(np.vdot(vectors[:, 0], v / np.linalg.norm(v)))
-    assert abs(overlap - 1.0) < 1e-12
-
-
-def test_eigh_two_by_two_exchange():
-    values, _ = linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(values, [-1.0, 1.0])
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ContractError):
-        linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eigh_reconstruction_random_hermitian():
-    rng = np.random.default_rng(11)
-    for dim in (2, 3, 8, 16, 33, 64):
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (raw + raw.conj().T) / 2.0
-        values, vectors = linalg.eigh(h)
-        recon = (vectors * values) @ vectors.conj().T
-        assert linalg.frobenius_norm(recon - h) <= 1e-9 * linalg.frobenius_norm(h)
-        ortho = vectors.conj().T @ vectors
-        assert np.max(np.abs(ortho - np.eye(dim))) < 1e-10
-        assert np.all(np.diff(values) >= -1e-12)
-
-
-def test_svd_identity():
-    _, singulars, _ = linalg.svd(I4)
-    assert np.allclose(singulars, np.ones(4))
-
-
-def test_svd_regrouped_entangler():
-    # Regroup the two-site rotation's indices as (row site, col site) pairs
-    # and check the factorization reassembles it.
-    u = entangler_rotation(np.pi / 6)
-    regrouped = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    left, singulars, right = linalg.svd(regrouped)
-    recon = (left * singulars) @ right.conj().T
-    assert np.max(np.abs(recon - regrouped)) < 1e-13
-    assert np.all(singulars >= -1e-15)
-    assert np.all(np.diff(singulars) <= 1e-15)
-
-
-def test_svd_rank_one():
-    a = np.array([1.0, 1j]) / np.sqrt(2)
-    b = np.array([0.0, 1.0], dtype=complex)
-    _, singulars, _ = linalg.svd(np.outer(a, b.conj()))
-    assert abs(singulars[0] - 1.0) < 1e-14
-    assert np.all(np.abs(singulars[1:]) < 1e-14)
-
-
-def test_svd_reconstruction_random():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        for dim in (4, 8):
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            u, s, v = linalg.svd(m)
-            assert np.max(np.abs((u * s) @ v.conj().T - m)) < 1e-11
 
 
 def test_frobenius_norm():

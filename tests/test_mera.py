@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mera_lab import gates, mera
 from mera_lab.errors import ContractError, DomainError, NumericError, ShapeError
-from mera_lab.heisenberg import BoundaryCondition, sector_basis
+from mera_lab.heisenberg import BoundaryCondition, hamiltonian, sector_basis
 
 from conftest import GROUND_PATTERN, SECTOR_INDICES
 
@@ -77,24 +77,57 @@ def layered_circuit(gate: np.ndarray) -> np.ndarray:
     return swaps @ inner @ swaps @ inner
 
 
-def reference_optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """The 2x2 ratio solve with the circuit rebuilt from layers for each basis vector."""
+def reference_pencil(gate: np.ndarray, h: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Basis states and the projected pencil (hm, sm), with the circuit rebuilt from layers."""
+    circuit = layered_circuit(gate)
 
     def mirrored(u: complex, q: complex) -> np.ndarray:
         wl = np.zeros(8, dtype=complex)
         wl[5] = u
         wl[6] = q
         omega = np.concatenate([wl, wl[::-1]])
-        left = (layered_circuit(gate) @ omega)[:8]
+        left = (circuit @ omega)[:8]
         return np.concatenate([left, left[::-1]])
 
     basis = [mirrored(1.0, 0.0), mirrored(0.0, 1.0)]
     hm = np.array([[np.vdot(x, h @ y) for y in basis] for x in basis])
     sm = np.array([[np.vdot(x, y) for y in basis] for x in basis])
+    return basis, hm, sm
+
+
+def reference_optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The 2x2 ratio solve one gate at a time, through LAPACK zhegvd (scipy)."""
+    basis, hm, sm = reference_pencil(gate, h)
     values, vectors = scipy.linalg.eigh(hm, sm)
     u, q = vectors[:, 0]
     state = u * basis[0] + q * basis[1]
     return float(values[0]), float((-u / q).real), state / np.linalg.norm(state)
+
+
+def reference_entropy(psi: np.ndarray, cut: int) -> float:
+    """Entanglement entropy of one state, summing only its kept weights."""
+    singulars = np.linalg.svd(psi.reshape(2 ** cut, -1), compute_uv=False)
+    weights = singulars ** 2
+    weights = weights / float(weights.sum())
+    weights = weights[weights > 1e-15]
+    return float(-(weights * np.log(weights)).sum()) + 0.0
+
+
+def reference_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Fidelity of one pair, with numpy scalar arithmetic throughout."""
+    na = float(np.vdot(a, a).real)
+    nb = float(np.vdot(b, b).real)
+    return float(abs(np.vdot(a, b)) ** 2 / (na * nb))
+
+
+def bit_equal(a, b) -> bool:
+    """Equal values and equal signs of zero, in the real and imaginary parts."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b)))
+    )
 
 
 ANGLES = st.floats(-4.0, 4.0)
@@ -261,6 +294,17 @@ class TestCircuitMatrix:
             assert np.array_equal(mera.circuit_matrix(gate, BoundaryCondition.OPEN), gates.embed(gate, 2, 4))
 
 
+class TestMirroredBasis:
+    @settings(deadline=None)
+    @given(thetas=st.lists(ANGLES, min_size=1, max_size=8), nus=st.lists(SPECTRAL_PARAMETERS, min_size=1, max_size=8))
+    def test_equals_the_circuit_columns_bit_for_bit(self, thetas, nus):
+        stack = np.array([gates.entangler_rotation(t) for t in thetas] + [gates.rmatrix(nu) for nu in nus])
+        for gate, pair in zip(stack, mera._mirrored_basis(stack)):
+            circuit = mera.circuit_matrix(gate)
+            assert bit_equal(pair[0], mera._mirrored_unnormalized(circuit, 1.0, 0.0))
+            assert bit_equal(pair[1], mera._mirrored_unnormalized(circuit, 0.0, 1.0))
+
+
 class TestOptimalRatio:
     def test_bit_identical_to_layered_reference(self, h4):
         rng = np.random.default_rng(40)
@@ -272,10 +316,97 @@ class TestOptimalRatio:
             assert r == ref_r
             assert np.array_equal(state, ref_state)
 
+    @settings(deadline=None, max_examples=60)
+    @given(thetas=st.lists(ANGLES, min_size=1, max_size=12))
+    def test_each_stacked_row_equals_the_single_gate_reference(self, h4, thetas):
+        energies, ratios, states = mera.optimal_ratios(np.array([gates.entangler_rotation(t) for t in thetas]), h4)
+        for theta, energy, r, state in zip(thetas, energies, ratios, states):
+            ref_energy, ref_r, ref_state = reference_optimal_ratio(gates.entangler_rotation(theta), h4)
+            assert energy == ref_energy
+            assert r == ref_r
+            assert bit_equal(state, ref_state)
+
+    def test_fit_roots_equal_the_single_gate_reference(self, h4):
+        stack = np.array([gates.rmatrix(nu) for nu in mera.solve_nu_fit().roots])
+        energies, ratios, states = mera.optimal_ratios(stack, h4)
+        for gate, energy, r, state in zip(stack, energies, ratios, states):
+            assert (energy, r) == reference_optimal_ratio(gate, h4)[:2]
+            assert bit_equal(state, reference_optimal_ratio(gate, h4)[2])
+
+    def test_degenerate_gates_raise_numeric_error(self, h4):
+        # A zero gate makes the overlap matrix vanish; a NaN gate makes the pencil non-finite.
+        for gate in (np.zeros((4, 4), dtype=complex), np.full((4, 4), np.nan, dtype=complex)):
+            with pytest.raises(NumericError):
+                mera.optimal_ratio(gate, h4)
+
     def test_energy_has_period_half_pi(self, h4):
         grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
         energy = [mera.optimal_ratio(gates.entangler_rotation(t), h4)[0] for t in grid]
         assert max(abs(energy[i] - energy[i + 1000]) for i in range(1001)) < 1e-14
+
+
+def seeded_pencils() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pencils of the 2001-point search grid, the 5001-point sweep grid, seeded random
+    angles, both fit roots and 200 seeded complex spectral parameters."""
+    rng = np.random.default_rng(41)
+    thetas = np.concatenate(
+        [
+            np.linspace(-np.pi / 2, np.pi / 2, 2001),
+            np.linspace(-1.5707963, 1.5707963, 5001),
+            rng.uniform(-4.0, 4.0, size=500),
+        ]
+    )
+    nus = list(mera.solve_nu_fit().roots) + list(rng.normal(size=200) * 3.0 + 3.0j * rng.normal(size=200))
+    gate_list = [gates.entangler_rotation(float(t)) for t in thetas] + [gates.rmatrix(nu) for nu in nus]
+    h = hamiltonian(4, BoundaryCondition.PERIODIC)
+    return [reference_pencil(gate, h)[1:] for gate in gate_list]
+
+
+class TestPencilEigh:
+    def test_equals_lapack_zhegvd_bit_for_bit(self):
+        pencils = seeded_pencils()
+        values, vectors = mera._pencil_eigh(np.array([a for a, _ in pencils]), np.array([b for _, b in pencils]))
+        for (a, b), w, x in zip(pencils, values, vectors):
+            ref_w, ref_x = scipy.linalg.eigh(a, b)
+            assert bit_equal(w, ref_w)
+            assert bit_equal(x, ref_x)
+
+    def test_random_pencils_with_diagonal_overlap_equal_lapack_zhegvd(self):
+        rng = np.random.default_rng(45)
+        m = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+        a = m + m.conj().transpose(0, 2, 1)
+        b = np.zeros((1000, 2, 2), dtype=complex)
+        b[:, 0, 0] = rng.uniform(0.1, 5.0, size=1000)
+        b[:, 1, 1] = rng.uniform(0.1, 5.0, size=1000)
+        values, vectors = mera._pencil_eigh(a, b)
+        for ak, bk, w, x in zip(a, b, values, vectors):
+            ref_w, ref_x = scipy.linalg.eigh(ak, bk)
+            assert bit_equal(w, ref_w)
+            assert bit_equal(x, ref_x)
+
+    def test_general_pencil_solves_the_eigenproblem(self):
+        rng = np.random.default_rng(42)
+        m = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+        b = m @ m.conj().transpose(0, 2, 1) + 0.1 * np.eye(2)
+        a = m + m.conj().transpose(0, 2, 1)
+        values, vectors = mera._pencil_eigh(a, b)
+        for ak, bk, w, x in zip(a, b, values, vectors):
+            assert np.allclose(ak @ x, bk @ x * w, atol=1e-10)
+            assert np.allclose(x.conj().T @ bk @ x, np.eye(2), atol=1e-10)
+            assert np.allclose(w, scipy.linalg.eigh(ak, bk)[0], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+    def test_not_positive_definite_raises(self, b):
+        with pytest.raises(NumericError, match="not positive definite"):
+            mera._pencil_eigh(np.eye(2, dtype=complex)[None], np.array(b, dtype=complex)[None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pencil_raises(self, bad):
+        a = np.array([[[1.0, bad], [bad, 0.0]]], dtype=complex)
+        with pytest.raises(NumericError, match="non-finite"):
+            mera._pencil_eigh(a, np.eye(2, dtype=complex)[None])
+        with pytest.raises(NumericError, match="non-finite"):
+            mera._pencil_eigh(np.eye(2, dtype=complex)[None], a)
 
 
 class TestVariationalState:
@@ -337,19 +468,23 @@ class TestThetaSolvers:
         assert -np.pi / 4 < mera.solve_theta_numeric().theta < np.pi / 4
 
     def test_numeric_search_call_budget(self, monkeypatch):
+        # Every solve, single or stacked, goes through optimal_ratios: count its calls and gates.
         cached = mera.solve_theta_numeric()
         calls = 0
-        original = mera.optimal_ratio
+        solves = 0
+        original = mera.optimal_ratios
 
-        def counting(gate, h):
-            nonlocal calls
+        def counting(gate_stack, h):
+            nonlocal calls, solves
             calls += 1
-            return original(gate, h)
+            solves += len(gate_stack)
+            return original(gate_stack, h)
 
-        monkeypatch.setattr(mera, "optimal_ratio", counting)
+        monkeypatch.setattr(mera, "optimal_ratios", counting)
         mera._solve_theta_numeric_cached.cache_clear()
         assert mera.solve_theta_numeric() == cached
-        assert calls <= 1100
+        assert solves <= 1100
+        assert calls <= 100
 
     def test_numeric_rejects_unsupported_setup(self):
         with pytest.raises(DomainError):
@@ -441,9 +576,10 @@ class TestMinimizeBounded:
             mera._minimize_bounded(lambda t: t * t, *bounds, xatol=1e-12)
 
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # No scipy module at all: the pencil solve and the minimizer are both in-package.
         src = os.path.dirname(os.path.dirname(os.path.abspath(mera.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        probe = "import sys, mera_lab.cli; print('scipy.optimize' in sys.modules)"
+        probe = "import sys, mera_lab.cli; print(any(m.startswith('scipy') for m in sys.modules))"
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
 
@@ -467,6 +603,21 @@ class TestFidelity:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mera.fidelity(np.ones(4), np.ones(8))
+        with pytest.raises(ShapeError):
+            mera.fidelities(np.ones((3, 4)), np.ones(8))
+
+    def test_stacked_rows_equal_the_single_pair_reference(self, h4, exact_ground):
+        # The sweep grid over [-3, 3] has rows where the array square x * x
+        # differs from the scalar ** 2; random complex rows catch numpy's
+        # array abs, which differs from the scalar abs.
+        _, ground = exact_ground
+        thetas = np.linspace(-3.0, 3.0, 20001)
+        _, _, states = mera.optimal_ratios(np.array([gates.entangler_rotation(float(t)) for t in thetas]), h4)
+        rng = np.random.default_rng(44)
+        rows = rng.normal(size=(2000, 16)) + 1j * rng.normal(size=(2000, 16))
+        for stack, target in ((states, ground), (rows, rows[0] + 0.5j * rows[1])):
+            values = mera.fidelities(stack, target)
+            assert all(bit_equal(value, reference_fidelity(row, target)) for row, value in zip(stack, values))
 
 
 def brute_force_entropy(psi: np.ndarray, cut: int, n: int) -> tuple[np.ndarray, float]:
@@ -515,6 +666,31 @@ class TestEntanglementEntropy:
             mera.entanglement_entropy(np.ones(12), 2)
         with pytest.raises(ShapeError):
             mera.entanglement_entropy(np.ones(16), 4)
+        with pytest.raises(ShapeError):
+            mera.entanglement_entropy(np.ones((2, 16)), 2)
+
+    @pytest.mark.parametrize(("n", "cut"), [(4, 1), (4, 2), (6, 3), (8, 4), (8, 2)])
+    def test_stacked_rows_equal_the_single_state_reference(self, n, cut):
+        # Low-rank rows vary how many weights each row keeps, which sets the
+        # length, and so the order, of the sum.
+        rng = np.random.default_rng(43 + n + cut)
+        rows = []
+        for rank in range(1, 2 ** min(cut, n - cut) + 1):
+            for _ in range(5):
+                left = rng.normal(size=(2 ** cut, rank)) + 1j * rng.normal(size=(2 ** cut, rank))
+                right = rng.normal(size=(rank, 2 ** (n - cut))) + 1j * rng.normal(size=(rank, 2 ** (n - cut)))
+                psi = (left @ right).ravel()
+                rows.append(psi / np.linalg.norm(psi))
+        rng.shuffle(rows)
+        values = mera.entanglement_entropies(np.array(rows), cut)
+        for psi, value in zip(rows, values):
+            assert bit_equal(value, reference_entropy(psi, cut))
+
+    def test_sweep_states_equal_the_single_state_reference(self, h4):
+        thetas = np.linspace(-1.5707963, 1.5707963, 5001)
+        _, _, states = mera.optimal_ratios(np.array([gates.entangler_rotation(float(t)) for t in thetas]), h4)
+        values = mera.entanglement_entropies(states, 2)
+        assert all(bit_equal(value, reference_entropy(psi, 2)) for psi, value in zip(states, values))
 
 
 class TestNuFit:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mera_lab import report
-from mera_lab.errors import DomainError
+from mera_lab.errors import DomainError, NumericError
 
 
 def test_payload_is_deterministic():
@@ -74,5 +74,5 @@ def test_float_rendering_17_significant_digits():
 
 
 def test_non_finite_floats_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         report._render(math.nan)
