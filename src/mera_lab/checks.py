@@ -9,6 +9,16 @@ Entries with ``passed = None`` are informational: quantities that are
 deliberately reported without being asserted, such as the commutator of
 entanglers that share a site and the fidelity gap of the raw (unmirrored)
 circuit at the optimal angle.
+
+The commutators of entanglers on disjoint pairs (sites i, i+1 and j, j+1
+with j >= i + 2, on 4, 6 and 8 sites) never multiply two 2^n x 2^n
+matrices.  A B is formed by applying the 4x4 gate to the row bits of sites
+(i, i+1) of the dense B = embed(gate, j, n), and B A likewise from the dense
+A, so at most three 2^n x 2^n arrays are alive at once.  Because the
+supports are disjoint, each entry of either product has exactly one nonzero
+term, the same product of two gate entries in both orders.  The contracted
+products therefore equal the dense ``a @ b`` and ``b @ a`` exactly, and the
+measured commutator norm is exactly 0.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, mera
-from .heisenberg import BoundaryCondition, ground_state, hamiltonian
+from .heisenberg import four_site_ring
 
 DEFAULT_SEED = 1729
 
@@ -33,6 +43,18 @@ class CheckResult:
 
 def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ b - b @ a))
+
+
+def _gate_times(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
+    """``embed(gate, site, n) @ matrix``, formed by applying the 4x4 gate to the row bits of (site, site+1)."""
+    return (gate @ matrix.reshape(2 ** (site - 1), 4, -1)).reshape(matrix.shape)
+
+
+def _disjoint_commutator_norm(gate: np.ndarray, a: np.ndarray, i: int, j: int, n: int) -> float:
+    """Norm of [A, B] for A = ``a`` = embed(gate, i, n) and B = embed(gate, j, n), j >= i + 2."""
+    commutator = _gate_times(gate, i, gates.embed(gate, j, n))
+    commutator -= _gate_times(gate, j, a)
+    return float(np.linalg.norm(commutator))
 
 
 def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -70,9 +92,10 @@ def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list
     worst = 0.0
     for n in (4, 6, 8):
         gate = gates.entangler_rotation(float(rng.uniform(-np.pi, np.pi)))
-        for i in range(1, n):
+        for i in range(1, n - 2):
+            a = gates.embed(gate, i, n)
             for j in range(i + 2, n):
-                worst = max(worst, _commutator_norm(gates.embed(gate, i, n), gates.embed(gate, j, n)))
+                worst = max(worst, _disjoint_commutator_norm(gate, a, i, j, n))
     asserted("disjoint_entangler_commutation", worst, 1e-13)
 
     gate = gates.entangler_rotation(0.4)
@@ -114,7 +137,7 @@ def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list
     numeric = mera.solve_theta_numeric()
     asserted("numeric_vs_analytic_theta", abs(numeric.theta - analytic.theta), 1e-8)
 
-    energy_exact, ground = ground_state(4, BoundaryCondition.PERIODIC)
+    h4, energy_exact, ground = four_site_ring()
     asserted("variational_energy_matches_exact", abs(analytic.energy - energy_exact), 1e-10)
     asserted("variational_fidelity", 1.0 - analytic.fidelity, 1e-10)
 
@@ -123,8 +146,6 @@ def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list
     raw_state = mera.trial_state(gates.EntanglerSpec.rotation(analytic.theta), iso_star).state
     info("raw_circuit_fidelity_at_optimum", mera.fidelity(raw_state, ground))
     info("raw_circuit_spin_flip_asymmetry", float(np.linalg.norm(raw_state - raw_state[::-1])))
-
-    h4 = hamiltonian(4, BoundaryCondition.PERIODIC)
 
     def family_energy(theta: float) -> float:
         psi = mera.variational_state(gates.EntanglerSpec.rotation(theta), analytic.r)

@@ -6,9 +6,11 @@ problems writing outputs), 2 on usage errors.
 
 Tolerance precedence for `check`: --tolerance flag, then the
 MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
-A tolerance that is not a positive finite number, a non-finite sweep bound
-and a sweep ``--steps`` outside 1..MAX_SWEEP_STEPS are usage errors.  A
-non-finite number in a report is a numeric failure.
+A tolerance that is not a positive finite number (flag or environment), a
+non-finite sweep bound and a sweep ``--steps`` outside 1..MAX_SWEEP_STEPS are
+usage errors.  Only these argument checks exit 2: any error raised while
+solving, a ``ValueError`` included, exits 1, as does a non-finite number in a
+report.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import bethe, checks, gates, mera, report, wavelet
 from .errors import MeraLabError
-from .heisenberg import MAX_SITES, BoundaryCondition, ground_state, hamiltonian, sector_hamiltonian
+from .heisenberg import MAX_SITES, BoundaryCondition, four_site_ring, sector_hamiltonian
 
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
@@ -36,22 +38,23 @@ SWEEP_BLOCK = 4096
 _SIGNED_FLOAT_OPTIONS = ("--theta-min", "--theta-max", "--tolerance")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class UsageError(Exception):
+    """A bad command-line argument or environment value; the CLI exits 2."""
 
 
 def _resolve_tolerance(args: argparse.Namespace) -> float | None:
-    if getattr(args, "tolerance", None) is not None:
-        return float(args.tolerance)
-    raw = os.environ.get(_ENV_TOLERANCE)
-    if raw is None:
-        return None
-    return float(raw)
-
-
-def _bad_tolerance(tolerance: float | None) -> bool:
-    return tolerance is not None and not 0.0 < tolerance < math.inf
+    tolerance = args.tolerance
+    if tolerance is None:
+        raw = os.environ.get(_ENV_TOLERANCE)
+        if raw is None:
+            return None
+        try:
+            tolerance = float(raw)
+        except ValueError:
+            raise UsageError(f"{_ENV_TOLERANCE}={raw!r}: tolerance must be a positive finite number") from None
+    if not 0.0 < tolerance < math.inf:
+        raise UsageError("tolerance must be a positive finite number")
+    return tolerance
 
 
 def _write_text(path: str, text: str) -> None:
@@ -61,11 +64,8 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.sites != 4 or BoundaryCondition(args.bc) is not BoundaryCondition.PERIODIC:
-        return _usage_error("optimize supports --sites 4 --bc periodic only")
-    tolerance = _resolve_tolerance(args)
-    if _bad_tolerance(tolerance):
-        return _usage_error("tolerance must be a positive finite number")
-    rep = report.build_report(entangler=args.entangler, tolerance=tolerance)
+        raise UsageError("optimize supports --sites 4 --bc periodic only")
+    rep = report.build_report(entangler=args.entangler, tolerance=_resolve_tolerance(args))
     text = report.document_json(rep)
     if args.out:
         _write_text(args.out, text)
@@ -80,7 +80,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_ed(args: argparse.Namespace) -> int:
     if not 2 <= args.sites <= MAX_SITES:
-        return _usage_error(f"ed supports --sites in 2..{MAX_SITES}")
+        raise UsageError(f"ed supports --sites in 2..{MAX_SITES}")
     n = args.sites
     bc = BoundaryCondition(args.bc)
     # One Sz block at a time; E0 is the lowest of the sector minima.
@@ -110,14 +110,14 @@ def cmd_ed(args: argparse.Namespace) -> int:
 
 def cmd_bethe(args: argparse.Namespace) -> int:
     if args.sites != 4:
-        return _usage_error("bethe supports --sites 4 only")
+        raise UsageError("bethe supports --sites 4 only")
     if args.magnons not in (1, 2):
-        return _usage_error("bethe supports --magnons 1 or 2")
+        raise UsageError("bethe supports --magnons 1 or 2")
     if args.magnons == 2:
         solution = bethe.solve_two_magnon(args.sites)
         momenta = bethe.momenta_from_roots(solution.roots)
         energy = bethe.energy_from_roots(solution.roots, args.sites)
-        energy_ed, _ = ground_state(args.sites, BoundaryCondition.PERIODIC)
+        _, energy_ed, _ = four_site_ring()
         print(f"two-magnon roots: {solution.roots[0].real:.15f}, {solution.roots[1].real:.15f}")
         print(f"momenta: {momenta[0]:.15f}, {momenta[1]:.15f} (sum mod 2pi = 0)")
         print(f"residual norm: {solution.residual_norm:.3e}")
@@ -137,19 +137,17 @@ def cmd_bethe(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 1 <= args.steps <= MAX_SWEEP_STEPS:
-        return _usage_error(f"sweep needs --steps in 1..{MAX_SWEEP_STEPS}")
+        raise UsageError(f"sweep needs --steps in 1..{MAX_SWEEP_STEPS}")
     if not (math.isfinite(args.theta_min) and math.isfinite(args.theta_max)):
-        return _usage_error("sweep needs finite --theta-min and --theta-max")
+        raise UsageError("sweep needs finite --theta-min and --theta-max")
     if args.theta_min > args.theta_max:
-        return _usage_error("sweep needs --theta-min <= --theta-max")
-    h = hamiltonian(4, BoundaryCondition.PERIODIC)
-    _, ground = ground_state(4, BoundaryCondition.PERIODIC)
+        raise UsageError("sweep needs --theta-min <= --theta-max")
+    h, _, ground = four_site_ring()
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     lines = ["theta,optimal_r,energy,fidelity,entropy"]
     for start in range(0, args.steps, SWEEP_BLOCK):
         block = thetas[start : start + SWEEP_BLOCK]
-        gate_stack = np.array([gates.entangler_rotation(float(theta)) for theta in block])
-        energies, ratios, states = mera.optimal_ratios(gate_stack, h)
+        energies, ratios, states = mera.optimal_ratios(gates.entangler_rotations(block), h)
         columns = (block, ratios, energies, mera.fidelities(states, ground), mera.entanglement_entropies(states, 2))
         for row in zip(*(column.tolist() for column in columns)):
             lines.append(",".join(format(v, ".17g") for v in row))
@@ -186,10 +184,7 @@ def cmd_wavelet(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    tolerance = _resolve_tolerance(args)
-    if _bad_tolerance(tolerance):
-        return _usage_error("tolerance must be a positive finite number")
-    results = checks.run_checks(tolerance=tolerance)
+    results = checks.run_checks(tolerance=_resolve_tolerance(args))
     for item in results:
         if item.passed is None:
             print(f"INFO {item.name}: measured {item.measured:.6e} (reported, not asserted)")
@@ -276,15 +271,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except MeraLabError as exc:
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MeraLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

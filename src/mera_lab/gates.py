@@ -77,17 +77,30 @@ def entangler_rotation(theta: float) -> np.ndarray:
 
     Columns: |01> -> cos(theta)|01> - sin(theta)|10>,
              |10> -> sin(theta)|01> + cos(theta)|10>.
+    This is :func:`entangler_rotations` of one angle.
     """
-    c = np.cos(theta)
-    s = np.sin(theta)
-    gate = np.zeros((4, 4), dtype=complex)
-    gate[0, 0] = 1.0
-    gate[3, 3] = 1.0
-    gate[1, 1] = c
-    gate[1, 2] = s
-    gate[2, 1] = -s
-    gate[2, 2] = c
-    return gate
+    return entangler_rotations([theta])[0]
+
+
+def entangler_rotations(thetas: np.ndarray) -> np.ndarray:
+    """Stack [m, 4, 4] of rotation entanglers, one per angle of ``thetas``.
+
+    The cosines and sines are taken of the whole array at once; each gate
+    equals, bit for bit, the gate of its angle alone.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ShapeError(f"expected a 1-d array of angles, got shape {thetas.shape}")
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    stack = np.zeros((len(thetas), 4, 4), dtype=complex)
+    stack[:, 0, 0] = 1.0
+    stack[:, 3, 3] = 1.0
+    stack[:, 1, 1] = c
+    stack[:, 1, 2] = s
+    stack[:, 2, 1] = -s
+    stack[:, 2, 2] = c
+    return stack
 
 
 def swap() -> np.ndarray:

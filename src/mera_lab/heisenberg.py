@@ -11,10 +11,13 @@ exchange: ``hamiltonian`` gives it all 2^n states and ``sector_hamiltonian``
 one fixed-magnetization sector (at most C(12, 6) = 924 states). The ``ed``
 command works one Sz sector at a time and never forms the 2^n matrix;
 ``ground_state`` stays dense because its callers need the full state vector.
+The periodic four-site ring, which every circuit path uses, is built and
+diagonalized once per process by ``four_site_ring``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,8 +106,26 @@ def ground_state(
     n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC
 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the chain; the state is normalized and phase-fixed."""
-    h = hamiltonian(n, bc)
+    return _lowest_eigenpair(hamiltonian(n, bc))
+
+
+def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     values, vectors = np.linalg.eigh(h)
     state = vectors[:, 0].astype(complex)
     state = state / np.linalg.norm(state)
     return float(values[0]), _fix_phase(state)
+
+
+@functools.cache
+def four_site_ring() -> tuple[np.ndarray, float, np.ndarray]:
+    """(H, E0, ground state) of the periodic four-site ring, built once per process.
+
+    The optimizers, the check suite, the report and the CLI share these
+    arrays, so they are read-only.  The values are those of
+    ``hamiltonian(4)`` and ``ground_state(4)``, bit for bit.
+    """
+    h = hamiltonian(4, BoundaryCondition.PERIODIC)
+    energy, ground = _lowest_eigenpair(h)
+    h.setflags(write=False)
+    ground.setflags(write=False)
+    return h, energy, ground

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import gates
 from .errors import ContractError, DomainError, NumericError, ShapeError
-from .heisenberg import BoundaryCondition, ground_state, hamiltonian
+from .heisenberg import BoundaryCondition, four_site_ring
 
 #: Norm below which a constructed state counts as degenerate.
 _DEGENERATE_NORM = 1e-12
@@ -332,8 +332,7 @@ def solve_theta_analytic(target: tuple[float, float, float] = (1.0, -2.0, 1.0)) 
     cos_m2 = -rho2 / r
     theta = -0.5 * float(np.arctan2(sin_m2, cos_m2))
     state = variational_state(gates.EntanglerSpec.rotation(theta), r)
-    energy_exact, ground = ground_state(4, BoundaryCondition.PERIODIC)
-    h = hamiltonian(4, BoundaryCondition.PERIODIC)
+    h, _, ground = four_site_ring()
     energy = float(np.vdot(state, h @ state).real)
     return ThetaSolution(
         theta=theta,
@@ -369,8 +368,7 @@ def solve_theta_numeric(
 
 @functools.cache
 def _solve_theta_numeric_cached() -> ThetaSolution:
-    h = hamiltonian(4, BoundaryCondition.PERIODIC)
-    _, ground = ground_state(4, BoundaryCondition.PERIODIC)
+    h, _, ground = four_site_ring()
 
     def energy_at(theta: float) -> float:
         return optimal_ratio(gates.entangler_rotation(theta), h)[0]
@@ -378,7 +376,7 @@ def _solve_theta_numeric_cached() -> ThetaSolution:
     # Grid points 501..1499 are exactly those with |theta| < pi/4; the bracket
     # is read off the full grid so that its end points keep the same bits.
     grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
-    values = optimal_ratios(np.array([gates.entangler_rotation(t) for t in grid[501:1500]]), h)[0]
+    values = optimal_ratios(gates.entangler_rotations(grid[501:1500]), h)[0]
     k = 501 + int(np.argmin(values))
     theta = float(_minimize_bounded(energy_at, grid[k - 1], grid[k + 1], xatol=1e-12))
 
@@ -559,7 +557,8 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
     # Singular values come in descending order, so the kept weights are a prefix.
     kept = np.count_nonzero(weights > 1e-15, axis=-1)
     entropies = np.empty(len(states))
-    for count in np.unique(kept):
+    # Grouping through a set, not np.unique, keeps numpy.ma from being imported.
+    for count in sorted(set(kept.tolist())):
         rows = kept == count
         w = weights[rows, :count]
         entropies[rows] = -(w * np.log(w)).sum(axis=-1)

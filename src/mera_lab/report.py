@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bethe, checks, gates, mera, wavelet
 from .errors import DomainError, NumericError
-from .heisenberg import BoundaryCondition, ground_state, hamiltonian, sector_basis
+from .heisenberg import four_site_ring, sector_basis
 
 SCHEMA_VERSION = "1"
 
@@ -56,8 +56,7 @@ def build_report(
         raise DomainError(f"unknown entangler family {entangler!r}")
 
     analytic = mera.solve_theta_analytic()
-    h4 = hamiltonian(4, BoundaryCondition.PERIODIC)
-    energy_ed, ground = ground_state(4, BoundaryCondition.PERIODIC)
+    h4, energy_ed, ground = four_site_ring()
 
     sector = sector_basis(4, 2)
     amps = ground[list(sector.indices)].real

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mera_lab import cli, report
+from mera_lab import cli, mera, report
 from mera_lab.cli import main
 from mera_lab.heisenberg import hamiltonian
 
@@ -226,6 +229,14 @@ class TestCheck:
         monkeypatch.setenv("MERA_LAB_TOLERANCE", "not-a-float")
         assert main(["check"]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "optimize"])
+    def test_malformed_env_value_is_a_usage_error_with_message(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("MERA_LAB_TOLERANCE", "1e-3x")
+        assert main([command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MERA_LAB_TOLERANCE='1e-3x'")
+        assert "tolerance must be a positive finite number" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_rejects_bad_tolerance_flag(self, capsys, value):
         assert main(["check", "--tolerance", value]) == 2
@@ -255,3 +266,36 @@ class TestUsage:
 
     def test_no_command(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "solver, command",
+        [
+            ("solve_theta_analytic", ["optimize"]),
+            ("solve_theta_analytic", ["wavelet"]),
+            ("solve_theta_analytic", ["check"]),
+            ("optimal_ratios", ["sweep", "--theta-min", "0", "--theta-max", "1", "--steps", "3"]),
+        ],
+    )
+    def test_value_error_inside_a_solver_exits_1(self, capsys, monkeypatch, solver, command):
+        def broken(*args, **kwargs):
+            raise ValueError("solver broke")
+
+        monkeypatch.setattr(mera, solver, broken)
+        assert main(command) == 1
+        assert "error: solver broke" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_optimize_and_sweep_leave_numpy_ma_unloaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import contextlib, io, sys\n"
+            "from mera_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['optimize']) == 0\n"
+            "    assert cli.main(['sweep', '--theta-min', '-3', '--theta-max', '3', '--steps', '501']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"

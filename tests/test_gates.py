@@ -45,6 +45,40 @@ class TestRotation:
         assert np.array_equal(u[mask], expected[mask])
 
 
+class TestRotationStack:
+    @pytest.mark.parametrize(
+        "thetas",
+        [
+            np.linspace(-np.pi / 2, np.pi / 2, 2001),
+            np.linspace(-3.0, 3.0, 20001),
+            np.random.default_rng(5).uniform(-1e3, 1e3, size=100_000),
+            np.array([0.0, -0.0, np.pi, -np.pi / 2, 1e-300, -1e-300]),
+        ],
+    )
+    def test_equals_the_gates_of_each_angle_bit_for_bit(self, thetas):
+        stack = gates.entangler_rotations(thetas)
+        expected = np.zeros((len(thetas), 4, 4), dtype=complex)
+        for k, theta in enumerate(thetas.tolist()):
+            c, s = np.cos(theta), np.sin(theta)
+            expected[k, 0, 0] = expected[k, 3, 3] = 1.0
+            expected[k, 1, 1] = expected[k, 2, 2] = c
+            expected[k, 1, 2] = s
+            expected[k, 2, 1] = -s
+        # Comparing the raw words also compares the signs of zero.
+        assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
+
+    def test_single_gate_is_a_stack_of_one(self):
+        for theta in (0.0, -0.0, 0.3, -2.5):
+            one = gates.entangler_rotation(theta)
+            assert one.shape == (4, 4)
+            assert np.array_equal(one.view(np.uint64), gates.entangler_rotations([theta])[0].view(np.uint64))
+
+    def test_empty_and_bad_shapes(self):
+        assert gates.entangler_rotations(np.array([])).shape == (0, 4, 4)
+        with pytest.raises(ShapeError):
+            gates.entangler_rotations(np.zeros((2, 2)))
+
+
 class TestSwap:
     def test_exchanges_factors(self):
         s = gates.swap()

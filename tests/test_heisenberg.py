@@ -137,6 +137,24 @@ class TestGroundState:
         print(f"open four-site ground energy: {energy:.12f}")
 
 
+class TestFourSiteRing:
+    def test_equals_the_uncached_builders_bit_for_bit(self):
+        h, energy, ground = hb.four_site_ring()
+        energy_ref, ground_ref = hb.ground_state(4, PERIODIC)
+        assert np.array_equal(h, hb.hamiltonian(4, PERIODIC))
+        assert energy == energy_ref
+        assert np.array_equal(ground.view(np.uint64), ground_ref.view(np.uint64))
+
+    def test_built_once_and_read_only(self):
+        first = hb.four_site_ring()
+        assert hb.four_site_ring() is first
+        h, _, ground = first
+        for array in (h, ground):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 class TestEnergyExpectation:
     def test_exact_ground(self, h4, exact_ground):
         _, state = exact_ground
