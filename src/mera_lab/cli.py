@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bethe, checks, gates, mera, report, wavelet
 from .errors import MeraLabError
-from .heisenberg import MAX_SITES, BoundaryCondition, four_site_ring, sector_hamiltonian
+from .heisenberg import MAX_SITES, BoundaryCondition, four_site_ring, sector_hamiltonian, sector_spectra
 
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
@@ -78,32 +78,28 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fixed6(value: float, sign: str = "") -> str:
+    """``value`` to 6 decimals, as ``format(value, sign + ".6f")`` except that a zero has no minus sign."""
+    return format(round(float(value), 6) + 0.0, sign + ".6f")
+
+
 def cmd_ed(args: argparse.Namespace) -> int:
     if not 2 <= args.sites <= MAX_SITES:
         raise UsageError(f"ed supports --sites in 2..{MAX_SITES}")
     n = args.sites
     bc = BoundaryCondition(args.bc)
-    # One Sz block at a time; E0 is the lowest of the sector minima.
-    energy = math.inf
-    spectra = []
-    half = None
-    for n_down in range(n + 1):
-        block = sector_hamiltonian(n, n_down, bc)
-        values = np.linalg.eigvalsh(block)
-        energy = min(energy, values[0])
-        shown = ", ".join(f"{v:.6f}" for v in values[:8])
-        suffix = ", ..." if len(values) > 8 else ""
-        spectra.append(f"  n_down={n_down} dim={len(values)}: {shown}{suffix}")
-        if n_down == n // 2 and len(values) <= 10:
-            half = block
+    spectra = sector_spectra(n, bc)
     print(f"sites={n} bc={bc.value}")
-    print(f"E0 = {energy:.12f}")
+    # E0 is the lowest of the sector minima.
+    print(f"E0 = {min(values[0] for values in spectra):.12f}")
     print("sector spectra (by down-spin count):")
-    for line in spectra:
-        print(line)
-    if half is not None:
+    for n_down, values in enumerate(spectra):
+        shown = ", ".join(_fixed6(v) for v in values[:8])
+        suffix = ", ..." if len(values) > 8 else ""
+        print(f"  n_down={n_down} dim={len(values)}: {shown}{suffix}")
+    if len(spectra[n // 2]) <= 10:
         print("half-filling block:")
-        for row in half:
+        for row in sector_hamiltonian(n, n // 2, bc):
             print("  [" + "  ".join(f"{v:5.2f}" for v in row) + "]")
     return 0
 
@@ -129,9 +125,9 @@ def cmd_bethe(args: argparse.Namespace) -> int:
         for lam in bethe.one_magnon_roots(args.sites):
             p = bethe.momenta_from_roots([lam])[0]
             energy = bethe.energy_from_roots([lam], args.sites)
-            print(f"  {lam:+.6f}    {p:+.6f}    {energy:+.6f}")
+            print(f"  {_fixed6(lam, '+')}    {_fixed6(p, '+')}    {_fixed6(energy, '+')}")
         print("  (p = 0 corresponds to an infinite rapidity with E = L/4)")
-        print("single down-spin sector spectrum: " + ", ".join(f"{v:+.6f}" for v in values))
+        print("single down-spin sector spectrum: " + ", ".join(_fixed6(v, "+") for v in values))
     return 0
 
 

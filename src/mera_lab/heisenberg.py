@@ -10,9 +10,20 @@ One builder makes H on any ascending list of basis states closed under spin
 exchange: ``hamiltonian`` gives it all 2^n states and ``sector_hamiltonian``
 one fixed-magnetization sector (at most C(12, 6) = 924 states). The ``ed``
 command works one Sz sector at a time and never forms the 2^n matrix;
-``ground_state`` stays dense because its callers need the full state vector.
+``ground_state`` stays dense because its callers need the full state vector,
+and it refuses a degenerate ground state, whose vector would be arbitrary.
 The periodic four-site ring, which every circuit path uses, is built and
 diagonalized once per process by ``four_site_ring``.
+
+``sector_spectra`` uses the global spin flip (Sandvik, AIP Conf. Proc. 1297,
+135 (2010)). Flipping every spin complements the bits of a state, which maps
+the ascending basis of sector k onto that of sector n - k in reverse order,
+and keeps every bond's alignment; so the n - k block is the k block with
+rows and columns reversed, exactly, and only sectors k <= n/2 are solved.
+Within the half-filling block (even n) the flip has no fixed states, and
+the block splits into its even and odd halves A +/- B J (see
+``_flip_halves``). At 12 sites the largest block solved is 792 x 792; the
+924 x 924 half-filling block is solved as two of 462 x 462.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 
 MAX_SITES = 12
 
@@ -93,6 +104,40 @@ def sector_hamiltonian(
     return _build_hamiltonian(n, states, bonds)
 
 
+def _flip_halves(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip-even and flip-odd blocks A + B J and A - B J of a flip-symmetric block.
+
+    The flip sends basis index i to d - 1 - i, so the block is
+    [[A, B], [J B J, J A J]] with J the h x h reversal, h = d/2. The vectors
+    (x, +/-J x) span the two flip parities, on which the block acts as
+    A +/- B J. Both are symmetric and their entries are exact sums of
+    multiples of 1/4.
+    """
+    half = len(block) // 2
+    a = block[:half, :half]
+    bj = block[:half, half:][:, ::-1]
+    return a + bj, a - bj
+
+
+def sector_spectra(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> list[np.ndarray]:
+    """Ascending spectra of all n + 1 Sz sectors, indexed by down-spin count.
+
+    Only the sectors n_down <= n/2 are diagonalized: sector n - k is sector k
+    under the spin flip and shares its read-only array.
+    """
+    solved = []
+    for n_down in range(n // 2 + 1):
+        block = sector_hamiltonian(n, n_down, bc)
+        if 2 * n_down == n:
+            even, odd = _flip_halves(block)
+            values = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
+        else:
+            values = np.linalg.eigvalsh(block)
+        values.setflags(write=False)
+        solved.append(values)
+    return [solved[min(k, n - k)] for k in range(n + 1)]
+
+
 def _fix_phase(state: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude amplitude real positive (ties: lowest index)."""
     mags = np.abs(state)
@@ -105,12 +150,20 @@ def _fix_phase(state: np.ndarray) -> np.ndarray:
 def ground_state(
     n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC
 ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the chain; the state is normalized and phase-fixed."""
+    """Lowest eigenpair of the chain; the state is normalized and phase-fixed.
+
+    Raises ``NumericError`` when the ground state is degenerate, for example
+    at 3 periodic or 5 open sites.
+    """
     return _lowest_eigenpair(hamiltonian(n, bc))
 
 
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     values, vectors = np.linalg.eigh(h)
+    tolerance = 1e-10 * max(1.0, abs(values[0]))
+    if values[1] - values[0] <= tolerance:
+        count = int(np.count_nonzero(values <= values[0] + tolerance))
+        raise NumericError(f"ground state is {count}-fold degenerate at E0 = {values[0]:.12f}; no unique state vector")
     state = vectors[:, 0].astype(complex)
     state = state / np.linalg.norm(state)
     return float(values[0]), _fix_phase(state)

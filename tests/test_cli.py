@@ -7,8 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mera_lab import cli, mera, report
+from mera_lab import cli, heisenberg, mera, report
 from mera_lab.cli import main
 from mera_lab.heisenberg import hamiltonian
 
@@ -17,6 +19,20 @@ def payload_section(path) -> str:
     text = path.read_text()
     marker = '"payload":'
     return text[text.index(marker):]
+
+
+SIX_SITE_PERIODIC = """\
+sites=6 bc=periodic
+E0 = -2.802775637732
+sector spectra (by down-spin count):
+  n_down=0 dim=1: 1.500000
+  n_down=1 dim=6: -0.500000, 0.000000, 0.000000, 1.000000, 1.000000, 1.500000
+  n_down=2 dim=15: -2.118034, -1.280776, -1.280776, -1.000000, -1.000000, -0.500000, 0.000000, 0.000000, ...
+  n_down=3 dim=20: -2.802776, -2.118034, -1.500000, -1.280776, -1.280776, -1.000000, -1.000000, -0.500000, ...
+  n_down=4 dim=15: -2.118034, -1.280776, -1.280776, -1.000000, -1.000000, -0.500000, 0.000000, 0.000000, ...
+  n_down=5 dim=6: -0.500000, 0.000000, 0.000000, 1.000000, 1.000000, 1.500000
+  n_down=6 dim=1: 1.500000
+"""
 
 
 class TestOptimize:
@@ -75,7 +91,7 @@ class TestEd:
         assert main(["ed", "--sites", "1"]) == 2
 
     @pytest.mark.parametrize("bc", ["open", "periodic"])
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_ground_energy_matches_dense_spectrum(self, capsys, n, bc):
         assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
         line = next(s for s in capsys.readouterr().out.splitlines() if s.startswith("E0 = "))
@@ -93,6 +109,54 @@ class TestEd:
         assert "dim=924" in capsys.readouterr().out
         assert peak < 64 * 2**20
 
+    def test_six_site_periodic_stdout(self, capsys):
+        assert main(["ed", "--sites", "6", "--bc", "periodic"]) == 0
+        assert capsys.readouterr().out == SIX_SITE_PERIODIC
+
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_mirror_sectors_print_the_same_values(self, capsys, n, bc):
+        assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
+        out = capsys.readouterr().out
+        assert "-0.000000" not in out
+        lines = out.splitlines()[3 : 3 + n + 1]
+        values = [line.split(": ", 1)[1] for line in lines]
+        assert values == values[::-1]
+
+    def test_twelve_sites_solves_only_the_lower_sectors(self, capsys, monkeypatch):
+        solved, built = [], []
+        eigvalsh = np.linalg.eigvalsh
+        sector_hamiltonian = heisenberg.sector_hamiltonian
+
+        def counting_eigvalsh(block):
+            solved.append(len(block))
+            return eigvalsh(block)
+
+        def recording_sector_hamiltonian(n, n_down, bc):
+            built.append(n_down)
+            return sector_hamiltonian(n, n_down, bc)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(heisenberg, "sector_hamiltonian", recording_sector_hamiltonian)
+        assert main(["ed", "--sites", "12"]) == 0
+        assert "n_down=12 dim=1" in capsys.readouterr().out
+        assert sorted(solved) == [1, 12, 66, 220, 462, 462, 495, 792]
+        assert built == [0, 1, 2, 3, 4, 5, 6]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_fixed6_differs_from_plain_format_only_in_the_sign_of_zero(self, value):
+        for sign in ("", "+"):
+            plain = format(value, sign + ".6f")
+            expected = plain.replace("-0.000000", "+0.000000" if sign else "0.000000")
+            assert cli._fixed6(value, sign) == expected
+
+    @pytest.mark.parametrize("value", [-0.0, -1e-17, -4.9999e-7, 5e-7, -5e-7, 0.0078125, -0.0078125, 2.5e-6])
+    def test_fixed6_near_zero_and_ties(self, value):
+        expected = format(value, ".6f").replace("-0.000000", "0.000000")
+        assert cli._fixed6(value) == expected
+        assert cli._fixed6(np.float64(value)) == expected
+
 
 class TestBethe:
     def test_default_two_magnons(self, capsys):
@@ -106,6 +170,8 @@ class TestBethe:
         out = capsys.readouterr().out
         assert "one-magnon states" in out
         assert "+1.570796" in out
+        assert "-0.000000" not in out
+        assert "single down-spin sector spectrum: -1.000000, +0.000000, +0.000000, +1.000000\n" in out
 
     def test_unsupported_magnons(self):
         assert main(["bethe", "--magnons", "3"]) == 2
@@ -283,6 +349,11 @@ class TestUsage:
         monkeypatch.setattr(mera, solver, broken)
         assert main(command) == 1
         assert "error: solver broke" in capsys.readouterr().err
+
+    def test_degenerate_ground_state_exits_1_with_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "build_report", lambda **kwargs: heisenberg.ground_state(3, "periodic"))
+        assert main(["optimize"]) == 1
+        assert "error: ground state is 4-fold degenerate at E0 = -0.750000000000" in capsys.readouterr().err
 
 
 class TestImports:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mera_lab import heisenberg as hb
-from mera_lab.errors import DomainError, ResourceError
+from mera_lab.errors import DomainError, NumericError, ResourceError
 
 from conftest import GROUND_PATTERN, SECTOR_INDICES, SZ0_BLOCK
 
@@ -136,6 +136,11 @@ class TestGroundState:
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
         print(f"open four-site ground energy: {energy:.12f}")
 
+    @pytest.mark.parametrize("n, bc, count", [(3, PERIODIC, 4), (5, OPEN, 2)])
+    def test_degenerate_ground_state_is_refused(self, n, bc, count):
+        with pytest.raises(NumericError, match=f"ground state is {count}-fold degenerate"):
+            hb.ground_state(n, bc)
+
 
 class TestFourSiteRing:
     def test_equals_the_uncached_builders_bit_for_bit(self):
@@ -190,3 +195,42 @@ class TestSymmetries:
         rvb = crossed - adjacent
         rvb = rvb / np.linalg.norm(rvb)
         assert abs(abs(np.vdot(rvb, state)) - 1.0) < 1e-10
+
+
+class TestSpinFlip:
+    @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_mirror_sector_is_the_reversed_block(self, n, bc):
+        for n_down in range(n + 1):
+            mirror = hb.sector_hamiltonian(n, n - n_down, bc)
+            assert np.array_equal(mirror, hb.sector_hamiltonian(n, n_down, bc)[::-1, ::-1])
+
+    @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_split_half_filling_spectrum_matches_whole_block(self, n, bc):
+        whole = np.linalg.eigvalsh(hb.sector_hamiltonian(n, n // 2, bc))
+        split = hb.sector_spectra(n, bc)[n // 2]
+        assert split.shape == whole.shape
+        assert np.max(np.abs(split - whole)) <= 1e-12
+
+    def test_flip_halves_are_exact_and_symmetric(self):
+        even, odd = hb._flip_halves(hb.sector_hamiltonian(8, 4, PERIODIC))
+        for half in (even, odd):
+            assert half.shape == (35, 35)
+            assert np.array_equal(half, half.T)
+            assert np.array_equal(half * 4, np.round(half * 4))
+
+    @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_spectra_match_each_sector(self, n, bc):
+        spectra = hb.sector_spectra(n, bc)
+        assert len(spectra) == n + 1
+        for n_down, values in enumerate(spectra):
+            block = hb.sector_hamiltonian(n, n_down, bc)
+            assert np.max(np.abs(values - np.linalg.eigvalsh(block))) <= 1e-12
+
+    def test_mirror_pairs_share_one_read_only_array(self):
+        spectra = hb.sector_spectra(7, OPEN)
+        for n_down in range(8):
+            assert spectra[n_down] is spectra[7 - n_down]
+            assert not spectra[n_down].flags.writeable
