@@ -151,7 +151,10 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
         raise ShapeError(f"site {site} out of range for {n} sites")
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n - site - 1), dtype=complex)
-    return np.kron(np.kron(left, gate), right)
+    # kron(kron(left, gate), right) as one broadcast product; multiplying in kron's order
+    # keeps every bit of it, the signs of zeros included.
+    product = left[:, None, None, :, None, None] * gate[None, :, None, None, :, None] * right[None, None, :, None, None, :]
+    return product.reshape(2**n, 2**n)
 
 
 def swap_layer(n: int) -> np.ndarray:

@@ -15,15 +15,20 @@ and it refuses a degenerate ground state, whose vector would be arbitrary.
 The periodic four-site ring, which every circuit path uses, is built and
 diagonalized once per process by ``four_site_ring``.
 
-``sector_spectra`` uses the global spin flip (Sandvik, AIP Conf. Proc. 1297,
-135 (2010)). Flipping every spin complements the bits of a state, which maps
-the ascending basis of sector k onto that of sector n - k in reverse order,
-and keeps every bond's alignment; so the n - k block is the k block with
-rows and columns reversed, exactly, and only sectors k <= n/2 are solved.
-Within the half-filling block (even n) the flip has no fixed states, and
-the block splits into its even and odd halves A +/- B J (see
-``_flip_halves``). At 12 sites the largest block solved is 792 x 792; the
-924 x 924 half-filling block is solved as two of 462 x 462.
+``sector_spectra`` uses the global spin flip and, on the ring, translations
+(Sandvik, AIP Conf. Proc. 1297, 135 (2010)). Flipping every spin complements
+the bits of a state, which maps the ascending basis of sector k onto that of
+sector n - k in reverse order, and keeps every bond's alignment; so the
+n - k block is the k block with rows and columns reversed, exactly, and only
+sectors k <= n/2 are solved. On the ring, the shift of every site by one
+commutes with H, and each sector splits into crystal-momentum blocks
+k = 2 pi m / n on the orbits of that shift (see ``translation_orbits`` and
+``momentum_blocks``); blocks m and n - m are complex conjugates, so only
+m = 0..n/2 is solved. The total momentum is the sum of the Bethe momenta.
+At 12 sites the largest ring blocks solved are 80 x 80 (m = 0 and m = 6
+at half filling). An open chain's half-filling block (even n), on which the flip has
+no fixed states, splits into its even and odd halves A +/- B J (see
+``_flip_halves``); at 12 open sites the largest block solved is 792 x 792.
 """
 
 from __future__ import annotations
@@ -119,16 +124,102 @@ def _flip_halves(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a + bj, a - bj
 
 
+@dataclass(frozen=True)
+class TranslationOrbits:
+    """Orbits of one Sz sector of the n-site ring under the cyclic shift T.
+
+    ``members`` holds sector indices grouped by orbit, orbits in ascending
+    order of their representative, the smallest state of the orbit, which is
+    each orbit's first member. ``shifts[i]`` is how often T maps member i
+    onto its representative, and ``periods[a]`` is the period of orbit a,
+    which is also its number of members.
+    """
+
+    n: int
+    members: np.ndarray
+    shifts: np.ndarray
+    periods: np.ndarray
+
+
+def translation_orbits(n: int, n_down: int) -> TranslationOrbits:
+    """Orbits of ``sector_basis(n, n_down)`` under the shift of every site by one."""
+    states = np.array(sector_basis(n, n_down).indices, dtype=np.int64)
+    rotated = states
+    representative = states
+    shift = np.zeros_like(states)
+    period = np.full_like(states, n)
+    for r in range(1, n):
+        rotated = (rotated >> 1) | ((rotated & 1) << (n - 1))
+        smaller = rotated < representative
+        representative = np.where(smaller, rotated, representative)
+        shift = np.where(smaller, r, shift)
+        period = np.where((rotated == states) & (period == n), r, period)
+    is_representative = representative == states
+    orbit = np.searchsorted(states[is_representative], representative)
+    members = np.argsort(orbit, kind="stable")
+    return TranslationOrbits(n=n, members=members, shifts=shift[members], periods=period[is_representative])
+
+
+def momentum_blocks(block: np.ndarray, orbits: TranslationOrbits) -> list[np.ndarray]:
+    """Blocks H_k of a ring sector for the crystal momenta k = 2 pi m / n, m = 0..n-1.
+
+    ``block`` is the sector's ``sector_hamiltonian`` on the ring. Block m acts
+    on one momentum state per representative a whose period p_a has
+    m p_a = 0 (mod n), and
+    <a|H_k|b> = sum over members s of orbit a of H[s, b] e^{-i k l_s} sqrt(p_b / p_a),
+    with l_s the member's shift. The sums over s, for all m at once, are one
+    discrete Fourier transform over the shift. Blocks m and n - m are complex
+    conjugates; when 2m = 0 (mod n) every phase is +/-1 and the block is
+    returned real.
+    """
+    n = orbits.n
+    count = len(orbits.periods)
+    starts = np.cumsum(orbits.periods) - orbits.periods
+    columns = block[:, orbits.members[starts]][orbits.members]
+    by_shift = np.zeros((count, n, count))
+    by_shift[np.repeat(np.arange(count), orbits.periods), orbits.shifts] = columns
+    sums = np.fft.fft(by_shift, axis=1)
+    blocks = []
+    for m in range(n):
+        kept = np.flatnonzero(m * orbits.periods % n == 0)
+        h_k = sums[kept, m][:, kept]
+        if 2 * m % n == 0:
+            h_k = h_k.real
+        periods = orbits.periods[kept]
+        blocks.append(h_k * np.sqrt(periods / periods[:, None]))
+    return blocks
+
+
+def _momentum_spectrum(n: int, n_down: int, block: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of a ring sector, solved in its momentum blocks m = 0..n/2.
+
+    Block n - m is the complex conjugate of block m and has its spectrum.
+    """
+    blocks = momentum_blocks(block, translation_orbits(n, n_down))
+    parts = []
+    for m in range(n // 2 + 1):
+        if len(blocks[m]):
+            values = np.linalg.eigvalsh(blocks[m])
+            parts.extend([values] if 2 * m % n == 0 else [values, values])
+    return np.sort(np.concatenate(parts))
+
+
 def sector_spectra(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> list[np.ndarray]:
     """Ascending spectra of all n + 1 Sz sectors, indexed by down-spin count.
 
     Only the sectors n_down <= n/2 are diagonalized: sector n - k is sector k
-    under the spin flip and shares its read-only array.
+    under the spin flip and shares its read-only array. A ring sector is
+    solved in its momentum blocks k = 2 pi m / n, m = 0..n/2 (see
+    ``momentum_blocks``); an open chain's half-filling block in its two
+    flip-parity halves (see ``_flip_halves``).
     """
+    periodic = BoundaryCondition(bc) is BoundaryCondition.PERIODIC
     solved = []
     for n_down in range(n // 2 + 1):
         block = sector_hamiltonian(n, n_down, bc)
-        if 2 * n_down == n:
+        if periodic:
+            values = _momentum_spectrum(n, n_down, block)
+        elif 2 * n_down == n:
             even, odd = _flip_halves(block)
             values = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
         else:

@@ -35,6 +35,45 @@ sector spectra (by down-spin count):
 """
 
 
+TWELVE_SITE_PERIODIC = """\
+sites=12 bc=periodic
+E0 = -5.387390917445
+sector spectra (by down-spin count):
+  n_down=0 dim=1: 3.000000
+  n_down=1 dim=12: 1.000000, 1.133975, 1.133975, 1.500000, 1.500000, 2.000000, 2.000000, 2.500000, ...
+  n_down=2 dim=66: -0.918986, -0.660966, -0.660966, -0.624208, -0.624208, -0.309721, -0.182543, -0.182543, ...
+  n_down=3 dim=220: -2.651740, -2.290394, -2.290394, -2.192010, -2.192010, -2.057051, -2.057051, -1.720108, ...
+  n_down=4 dim=495: -4.070529, -3.637406, -3.637406, -3.457727, -3.457727, -3.198915, -3.198915, -3.134872, ...
+  n_down=5 dim=792: -5.031543, -4.569374, -4.569374, -4.297689, -4.297689, -4.070529, -3.944334, -3.944334, ...
+  n_down=6 dim=924: -5.387391, -5.031543, -4.777389, -4.569374, -4.569374, -4.297689, -4.297689, -4.070529, ...
+  n_down=7 dim=792: -5.031543, -4.569374, -4.569374, -4.297689, -4.297689, -4.070529, -3.944334, -3.944334, ...
+  n_down=8 dim=495: -4.070529, -3.637406, -3.637406, -3.457727, -3.457727, -3.198915, -3.198915, -3.134872, ...
+  n_down=9 dim=220: -2.651740, -2.290394, -2.290394, -2.192010, -2.192010, -2.057051, -2.057051, -1.720108, ...
+  n_down=10 dim=66: -0.918986, -0.660966, -0.660966, -0.624208, -0.624208, -0.309721, -0.182543, -0.182543, ...
+  n_down=11 dim=12: 1.000000, 1.133975, 1.133975, 1.500000, 1.500000, 2.000000, 2.000000, 2.500000, ...
+  n_down=12 dim=1: 3.000000
+"""
+
+
+ELEVEN_SITE_OPEN = """\
+sites=11 bc=open
+E0 = -4.632093302360
+sector spectra (by down-spin count):
+  n_down=0 dim=1: 2.500000
+  n_down=1 dim=11: 0.540507, 0.658746, 0.845139, 1.084585, 1.357685, 1.642315, 1.915415, 2.154861, ...
+  n_down=2 dim=55: -1.281606, -1.077665, -0.949199, -0.816319, -0.688739, -0.519596, -0.487921, -0.393105, ...
+  n_down=3 dim=165: -2.845141, -2.559334, -2.339114, -2.236082, -2.200394, -2.018121, -1.905269, -1.880805, ...
+  n_down=4 dim=330: -4.010198, -3.658206, -3.353351, -3.301575, -3.118583, -3.001581, -2.991938, -2.970752, ...
+  n_down=5 dim=462: -4.632093, -4.250809, -4.010198, -3.884533, -3.658206, -3.568144, -3.446539, -3.353351, ...
+  n_down=6 dim=462: -4.632093, -4.250809, -4.010198, -3.884533, -3.658206, -3.568144, -3.446539, -3.353351, ...
+  n_down=7 dim=330: -4.010198, -3.658206, -3.353351, -3.301575, -3.118583, -3.001581, -2.991938, -2.970752, ...
+  n_down=8 dim=165: -2.845141, -2.559334, -2.339114, -2.236082, -2.200394, -2.018121, -1.905269, -1.880805, ...
+  n_down=9 dim=55: -1.281606, -1.077665, -0.949199, -0.816319, -0.688739, -0.519596, -0.487921, -0.393105, ...
+  n_down=10 dim=11: 0.540507, 0.658746, 0.845139, 1.084585, 1.357685, 1.642315, 1.915415, 2.154861, ...
+  n_down=11 dim=1: 2.500000
+"""
+
+
 class TestOptimize:
     def test_writes_report_and_is_deterministic(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -113,6 +152,11 @@ class TestEd:
         assert main(["ed", "--sites", "6", "--bc", "periodic"]) == 0
         assert capsys.readouterr().out == SIX_SITE_PERIODIC
 
+    @pytest.mark.parametrize("n, bc, expected", [(12, "periodic", TWELVE_SITE_PERIODIC), (11, "open", ELEVEN_SITE_OPEN)])
+    def test_largest_ring_and_odd_chain_stdout(self, capsys, n, bc, expected):
+        assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("bc", ["open", "periodic"])
     @pytest.mark.parametrize("n", range(2, 13))
     def test_mirror_sectors_print_the_same_values(self, capsys, n, bc):
@@ -129,18 +173,29 @@ class TestEd:
         sector_hamiltonian = heisenberg.sector_hamiltonian
 
         def counting_eigvalsh(block):
-            solved.append(len(block))
+            solved[-1].append(len(block))
             return eigvalsh(block)
 
         def recording_sector_hamiltonian(n, n_down, bc):
             built.append(n_down)
+            solved.append([])
             return sector_hamiltonian(n, n_down, bc)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(heisenberg, "sector_hamiltonian", recording_sector_hamiltonian)
         assert main(["ed", "--sites", "12"]) == 0
         assert "n_down=12 dim=1" in capsys.readouterr().out
-        assert sorted(solved) == [1, 12, 66, 220, 462, 462, 495, 792]
+        # One block per crystal momentum m = 0..6 of each sector n_down = 0..6; the
+        # all-up sector has only m = 0.
+        assert solved == [
+            [1],
+            [1, 1, 1, 1, 1, 1, 1],
+            [6, 5, 6, 5, 6, 5, 6],
+            [19, 18, 18, 19, 18, 18, 19],
+            [43, 40, 42, 40, 43, 40, 42],
+            [66, 66, 66, 66, 66, 66, 66],
+            [80, 75, 78, 76, 78, 75, 80],
+        ]
         assert built == [0, 1, 2, 3, 4, 5, 6]
 
     @settings(max_examples=500, deadline=None)

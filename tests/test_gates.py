@@ -159,6 +159,22 @@ class TestEmbed:
     def test_identity_embedding(self):
         assert np.array_equal(gates.embed(I4, 1, 2), I4)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_nested_kron_bit_for_bit(self, n):
+        # The sign bits of zeros included: kron forms each entry as (left * gate) * right.
+        rng = np.random.default_rng(n)
+        signed = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        signed[0, 0] = complex(-0.0, -0.0)
+        signed[1, 2] = complex(0.0, -0.0)
+        for gate in (gates.entangler_rotation(float(rng.uniform(-np.pi, np.pi))), gates.rmatrix(1.0 - 2.0j), signed):
+            for site in range(1, n):
+                left = np.eye(2 ** (site - 1), dtype=complex)
+                right = np.eye(2 ** (n - site - 1), dtype=complex)
+                expected = np.kron(np.kron(left, gate), right)
+                embedded = gates.embed(gate, site, n)
+                assert embedded.dtype == expected.dtype
+                assert np.array_equal(embedded.view(np.uint64), expected.view(np.uint64))
+
     def test_position_out_of_range(self):
         with pytest.raises(ShapeError):
             gates.embed(I4, 4, 4)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mera_lab import bethe
 from mera_lab import heisenberg as hb
 from mera_lab.errors import DomainError, NumericError, ResourceError
 
@@ -221,7 +224,7 @@ class TestSpinFlip:
             assert np.array_equal(half * 4, np.round(half * 4))
 
     @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_spectra_match_each_sector(self, n, bc):
         spectra = hb.sector_spectra(n, bc)
         assert len(spectra) == n + 1
@@ -234,3 +237,87 @@ class TestSpinFlip:
         for n_down in range(8):
             assert spectra[n_down] is spectra[7 - n_down]
             assert not spectra[n_down].flags.writeable
+
+
+def ring_sector_blocks(n: int):
+    """(sector block, its momentum blocks m = 0..n-1) of every ring sector."""
+    for n_down in range(n + 1):
+        block = hb.sector_hamiltonian(n, n_down, PERIODIC)
+        yield block, hb.momentum_blocks(block, hb.translation_orbits(n, n_down))
+
+
+class TestMomentumBlocks:
+    @pytest.mark.parametrize("n", [2, 4, 6, 9])
+    def test_orbits_match_string_rotations(self, n):
+        for n_down in range(n + 1):
+            orbits = hb.translation_orbits(n, n_down)
+            indices = hb.sector_basis(n, n_down).indices
+            bits = [format(state, f"0{n}b") for state in indices]
+
+            def shifted(word: str, r: int) -> str:
+                # Shifting every site by one moves the last site to the front.
+                return word[n - r :] + word[: n - r]
+
+            start = 0
+            for period in orbits.periods:
+                members = orbits.members[start : start + period]
+                shifts = orbits.shifts[start : start + period]
+                start += period
+                rep = bits[members[0]]
+                rotations = [shifted(rep, r) for r in range(n)]
+                assert rep == min(rotations)
+                assert period == next(r for r in range(1, n + 1) if rotations[r % n] == rep)
+                assert sorted(bits[i] for i in members) == sorted(set(rotations))
+                for member, shift in zip(members, shifts):
+                    assert 0 <= shift < period
+                    assert shifted(bits[member], shift) == rep
+            assert start == len(indices)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_block_sizes_sum_to_the_sector_dimension(self, n):
+        for block, blocks in ring_sector_blocks(n):
+            assert len(blocks) == n
+            assert sum(len(h_k) for h_k in blocks) == len(block)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_blocks_are_hermitian(self, n):
+        for _, blocks in ring_sector_blocks(n):
+            for h_k in blocks:
+                assert h_k.shape == (len(h_k), len(h_k))
+                if len(h_k):
+                    assert np.max(np.abs(h_k - h_k.conj().T)) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_opposite_momenta_are_complex_conjugates(self, n):
+        for _, blocks in ring_sector_blocks(n):
+            for m in range(n):
+                mirror = blocks[(n - m) % n]
+                assert mirror.shape == blocks[m].shape
+                if 2 * m % n == 0:
+                    assert np.isrealobj(blocks[m])
+                if len(mirror):
+                    assert np.max(np.abs(mirror - blocks[m].conj())) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_union_of_block_spectra_is_the_sector_spectrum(self, n):
+        for block, blocks in ring_sector_blocks(n):
+            union = np.sort(np.concatenate([np.linalg.eigvalsh(h_k) for h_k in blocks if len(h_k)]))
+            assert np.max(np.abs(union - np.linalg.eigvalsh(block))) <= 1e-12
+
+    @pytest.mark.parametrize("n, m", [(4, 0), (6, 3), (8, 0), (10, 5), (12, 0)])
+    def test_ground_state_momentum_is_pi_n_over_2(self, n, m):
+        # k = 2 pi m / n = pi n / 2 (mod 2 pi)
+        assert m == n * n // 4 % n
+        block = hb.sector_hamiltonian(n, n // 2, PERIODIC)
+        energy = np.linalg.eigvalsh(block)[0]
+        blocks = hb.momentum_blocks(block, hb.translation_orbits(n, n // 2))
+        holding = [j for j, h_k in enumerate(blocks) if len(h_k) and np.linalg.eigvalsh(h_k)[0] - energy <= 1e-10]
+        assert holding == [m]
+
+    def test_four_site_ground_momentum_matches_bethe(self):
+        momenta = bethe.momenta_from_roots(bethe.solve_two_magnon(4).roots)
+        total = math.remainder(sum(momenta), 2 * math.pi)
+        assert abs(total) < 1e-12
+        blocks = hb.momentum_blocks(hb.sector_hamiltonian(4, 2, PERIODIC), hb.translation_orbits(4, 2))
+        m = round(total / (2 * math.pi / 4)) % 4
+        assert abs(np.linalg.eigvalsh(blocks[m])[0] - (-2.0)) < 1e-12

@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from mera_lab import linalg
-from mera_lab.errors import ShapeError
-from mera_lab.gates import entangler_rotation, swap
+from mera_lab.gates import entangler_rotation
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -44,44 +42,6 @@ def test_kron_nested_gives_block_diagonal():
     expected[:8, :8] = block
     expected[8:, 8:] = block
     assert np.array_equal(full, expected)
-
-
-def test_matmul_identity_and_involution():
-    s = swap()
-    assert np.array_equal(linalg.matmul(I4, s), s)
-    assert np.array_equal(linalg.matmul(s, s), I4)
-
-
-def test_matmul_rotation_unitarity():
-    u = entangler_rotation(0.3)
-    assert linalg.allclose(linalg.matmul(u, linalg.adjoint(u)), I4, tol=1e-15)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_adjoint():
-    assert np.array_equal(linalg.adjoint(I4), I4)
-    assert np.array_equal(linalg.adjoint(swap()), swap())
-    theta = 0.61
-    assert linalg.allclose(linalg.adjoint(entangler_rotation(theta)), entangler_rotation(-theta), tol=0.0)
-
-
-def test_frobenius_norm():
-    assert linalg.frobenius_norm(np.zeros((4, 4))) == 0.0
-    assert abs(linalg.frobenius_norm(I4) - 2.0) < 1e-15
-
-
-def test_frobenius_norm_layer_exchange_commutator():
-    from mera_lab.gates import embed, swap_layer
-
-    theta = 0.4
-    inner = embed(entangler_rotation(theta), 2, 4)
-    swaps = swap_layer(4)
-    outer = swaps @ inner @ swaps
-    assert linalg.frobenius_norm(inner @ outer - outer @ inner) < 1e-13
 
 
 def test_kron_associativity_exact_on_integers():
