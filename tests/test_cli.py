@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -72,6 +73,35 @@ sector spectra (by down-spin count):
   n_down=10 dim=11: 0.540507, 0.658746, 0.845139, 1.084585, 1.357685, 1.642315, 1.915415, 2.154861, ...
   n_down=11 dim=1: 2.500000
 """
+
+
+# sha256 of the `ed` stdout for every supported size and boundary, as printed
+# by the dense-block builder before the ring moved to momentum blocks built
+# from orbit representatives.
+ED_STDOUT_SHA256 = {
+    (2, "open"): "aa05a166a5cf6d8dd1d2f8c5bc6e800dbdb3d634269836129c1698966a054df9",
+    (3, "open"): "b26e1abf7d2cf331d8be6f70c9700dccf44f917d52fd98c05cc4d5ffa7d2e80e",
+    (4, "open"): "43b92bf2731a80a4cc13769ae62755fc791113f48d0ac35d390ab96735f04e98",
+    (5, "open"): "c67f1bbe2b577525f7c803ab3d44f54bb31a68632e63e323aab7d18d398550e0",
+    (6, "open"): "17c13051f2689f5f1da116d1c7b3a004d455d464bf98251af966dab6599b38eb",
+    (7, "open"): "d7f53c6a06a921032e6c55a4467001c4c59e114e5df44286d8d0ba8a73da2a4a",
+    (8, "open"): "1f7307b3d86ff0a6e5327633bcb9c05850ae748f5e16f92367dadcdfbe6eb222",
+    (9, "open"): "6b3c996ab1fd3a8ab5c0fbe28adf2adbf651a80c1418bc107655dd5562825ec8",
+    (10, "open"): "d3d7a9866653f5436f6c97704a11f83cd48961304ea59e5f59ee234e20e3c954",
+    (11, "open"): "445ab7a96767fc279d6211b22a445c5a4964264a535d6a9b1e592e4434238c73",
+    (12, "open"): "9fde8240ad68f29acdce410ef80385d4031b1ed0309655961b07bff7fc4e5ec1",
+    (2, "periodic"): "16a0fa25a4a76045df299a8add59316b12cbe9fb6b365f64fedd2c2fd94c547a",
+    (3, "periodic"): "6ae6bd61823bb399d7e5eeb809d25b5894b13cdb0ea0ab1f11d6ce67a2c6d18f",
+    (4, "periodic"): "9b916f388ee37c2ead255c7d176b2628ff400b1e12ed6dccdc5be9ae15d707fe",
+    (5, "periodic"): "6209e60dc1104804f0140b58987d55c979a7214299754b479139f7a1a4425ffe",
+    (6, "periodic"): "5232446d35fcc11f0e15aa0a994cd3758d361e872a312a7e451297afa3a83bc2",
+    (7, "periodic"): "1596d5bfd17242edc69280bb93679f27e7e20b100e219025ec2341e824f8a46a",
+    (8, "periodic"): "c3f2ef12505b34cc4b27688ef66020287552c89138cf9fd56cd3f3ab3fe5f986",
+    (9, "periodic"): "1a0681218bb4373d58043322613f08ad04a8fbe7dfe004e1e8e4a67023d9b666",
+    (10, "periodic"): "83a96af5b079a4a2c5d79adec8cc45e12d6c749f2c347cc6568f939d3a927305",
+    (11, "periodic"): "9dc844d8f02c1d9982ae4d95441be29b25dfc423ecd943169f94dcbbe17a759f",
+    (12, "periodic"): "acd856d9274b65c9988c012c1a54ea3c3cf251744423c569befdc0ecd0283f1f",
+}
 
 
 class TestOptimize:
@@ -156,6 +186,13 @@ class TestEd:
     def test_largest_ring_and_odd_chain_stdout(self, capsys, n, bc, expected):
         assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_stdout_bytes_are_pinned(self, capsys, n, bc):
+        assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ED_STDOUT_SHA256[n, bc]
 
     @pytest.mark.parametrize("bc", ["open", "periodic"])
     @pytest.mark.parametrize("n", range(2, 13))
