@@ -6,7 +6,7 @@ two-magnon Bethe system of the same ring, and relates the optimal angles to
 the D4 orthogonal wavelet filter.
 """
 
-from . import bethe, checks, gates, heisenberg, linalg, mera, report, wavelet
+from . import bethe, checks, gates, heisenberg, mera, report, wavelet
 from .errors import (
     ContractError,
     DomainError,
@@ -43,7 +43,6 @@ __all__ = [
     "checks",
     "gates",
     "heisenberg",
-    "linalg",
     "mera",
     "report",
     "wavelet",

@@ -6,9 +6,11 @@ the diagonal and an antiferromagnetic one -1/4 plus an exchange element 1/2.
 The matrix is real symmetric in the computational basis.
 
 H conserves total Sz, so it is block diagonal in the number of down spins.
-One builder makes H on any ascending list of basis states closed under spin
-exchange: ``hamiltonian`` gives it all 2^n states and ``sector_hamiltonian``
-one fixed-magnetization sector (at most C(12, 6) = 924 states). The ``ed``
+One term emitter, ``_hamiltonian_terms``, lists the nonzeros of H on the
+columns of an ascending list of states: the diagonal and, per bond, the
+exchanged image of every anti-aligned state. Dense blocks scatter the images
+back into the list: ``hamiltonian`` on all 2^n states, ``sector_hamiltonian``
+on one fixed-magnetization sector (at most C(12, 6) = 924 states). The ``ed``
 command works one Sz sector at a time and never forms the 2^n matrix;
 ``ground_state`` stays dense because its callers need the full state vector,
 and it refuses a degenerate ground state, whose vector would be arbitrary.
@@ -22,13 +24,15 @@ sector n - k in reverse order, and keeps every bond's alignment; so the
 n - k block is the k block with rows and columns reversed, exactly, and only
 sectors k <= n/2 are solved. On the ring, the shift of every site by one
 commutes with H, and each sector splits into crystal-momentum blocks
-k = 2 pi m / n on the orbits of that shift (see ``translation_orbits`` and
-``momentum_blocks``); blocks m and n - m are complex conjugates, so only
-m = 0..n/2 is solved. The total momentum is the sum of the Bethe momenta.
-At 12 sites the largest ring blocks solved are 80 x 80 (m = 0 and m = 6
-at half filling). An open chain's half-filling block (even n), on which the flip has
-no fixed states, splits into its even and odd halves A +/- B J (see
-``_flip_halves``); at 12 open sites the largest block solved is 792 x 792.
+k = 2 pi m / n, one state per orbit of that shift. ``momentum_blocks`` runs
+the emitter on the orbits' representatives only and maps each image onto its
+orbit (``_rotations``), so no dense sector block is formed. Blocks m and
+n - m are complex conjugates, so only m = 0..n/2 is solved. The total
+momentum is the sum of the Bethe momenta. At 12 sites the largest ring
+blocks solved are 80 x 80 (m = 0 and m = 6 at half filling). An open chain's
+half-filling block (even n), on which the flip has no fixed states, splits
+into its even and odd halves A +/- B J (see ``_flip_halves``); at 12 open
+sites the largest block solved is 792 x 792.
 """
 
 from __future__ import annotations
@@ -67,19 +71,33 @@ def _bonds(n: int, bc: BoundaryCondition | str) -> list[tuple[int, int]]:
     return bonds
 
 
-def _build_hamiltonian(n: int, states: np.ndarray, bonds: list[tuple[int, int]]) -> np.ndarray:
-    """H on the span of ``states``, which must be ascending and closed under exchange."""
-    dim = len(states)
-    h = np.zeros((dim, dim))
-    rows = np.arange(dim)
+def _hamiltonian_terms(
+    n: int, states: np.ndarray, bonds: list[tuple[int, int]]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Nonzeros of H on the columns ``states`` (ascending): the diagonal and the exchanges.
+
+    Per bond, the exchange part is the positions of the anti-aligned states in
+    ``states`` and the states their two spins exchange into; each image has
+    the element 1/2 in its source's column.
+    """
+    diagonal = np.zeros(len(states))
+    exchanges = []
     for i, j in bonds:
         bi = (states >> (n - 1 - i)) & 1
         bj = (states >> (n - 1 - j)) & 1
         aligned = bi == bj
-        h[rows, rows] += np.where(aligned, 0.25, -0.25)
-        anti = rows[~aligned]
-        flipped = states[anti] ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))
-        h[np.searchsorted(states, flipped), anti] += 0.5
+        diagonal += np.where(aligned, 0.25, -0.25)
+        sources = np.flatnonzero(~aligned)
+        exchanges.append((sources, states[sources] ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))))
+    return diagonal, exchanges
+
+
+def _build_hamiltonian(n: int, states: np.ndarray, bonds: list[tuple[int, int]]) -> np.ndarray:
+    """H on the span of ``states``, which must be ascending and closed under exchange."""
+    diagonal, exchanges = _hamiltonian_terms(n, states, bonds)
+    h = np.diag(diagonal)
+    for sources, images in exchanges:
+        h[np.searchsorted(states, images), sources] += 0.5
     return h
 
 
@@ -124,28 +142,14 @@ def _flip_halves(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a + bj, a - bj
 
 
-@dataclass(frozen=True)
-class TranslationOrbits:
-    """Orbits of one Sz sector of the n-site ring under the cyclic shift T.
+def _rotations(n: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each state's orbit under the ring shift T: (representative, shift, period).
 
-    ``members`` holds sector indices grouped by orbit, orbits in ascending
-    order of their representative, the smallest state of the orbit, which is
-    each orbit's first member. ``shifts[i]`` is how often T maps member i
-    onto its representative, and ``periods[a]`` is the period of orbit a,
-    which is also its number of members.
+    The representative is the smallest state of the orbit, the shift the
+    fewest applications of T that map the state onto it, and the period the
+    orbit's number of members. T moves every site by one, the last to the front.
     """
-
-    n: int
-    members: np.ndarray
-    shifts: np.ndarray
-    periods: np.ndarray
-
-
-def translation_orbits(n: int, n_down: int) -> TranslationOrbits:
-    """Orbits of ``sector_basis(n, n_down)`` under the shift of every site by one."""
-    states = np.array(sector_basis(n, n_down).indices, dtype=np.int64)
-    rotated = states
-    representative = states
+    rotated = representative = states
     shift = np.zeros_like(states)
     period = np.full_like(states, n)
     for r in range(1, n):
@@ -154,52 +158,49 @@ def translation_orbits(n: int, n_down: int) -> TranslationOrbits:
         representative = np.where(smaller, rotated, representative)
         shift = np.where(smaller, r, shift)
         period = np.where((rotated == states) & (period == n), r, period)
-    is_representative = representative == states
-    orbit = np.searchsorted(states[is_representative], representative)
-    members = np.argsort(orbit, kind="stable")
-    return TranslationOrbits(n=n, members=members, shifts=shift[members], periods=period[is_representative])
+    return representative, shift, period
 
 
-def momentum_blocks(block: np.ndarray, orbits: TranslationOrbits) -> list[np.ndarray]:
-    """Blocks H_k of a ring sector for the crystal momenta k = 2 pi m / n, m = 0..n-1.
+def momentum_blocks(n: int, n_down: int) -> list[np.ndarray]:
+    """Blocks H_k of the ring sector with ``n_down`` down spins, k = 2 pi m / n, m = 0..n/2.
 
-    ``block`` is the sector's ``sector_hamiltonian`` on the ring. Block m acts
-    on one momentum state per representative a whose period p_a has
-    m p_a = 0 (mod n), and
-    <a|H_k|b> = sum over members s of orbit a of H[s, b] e^{-i k l_s} sqrt(p_b / p_a),
-    with l_s the member's shift. The sums over s, for all m at once, are one
-    discrete Fourier transform over the shift. Blocks m and n - m are complex
-    conjugates; when 2m = 0 (mod n) every phase is +/-1 and the block is
-    returned real.
+    Block m acts on one momentum state per orbit representative a whose
+    period p_a has m p_a = 0 (mod n), in ascending order of a. H is built on
+    the representatives only: the diagonal of H is that of every block, and
+    an exchange image of a that l shifts map onto representative b adds
+    1/2 e^{-i k l} sqrt(p_a / p_b) to <b|H_k|a>. Block n - m is the complex
+    conjugate of block m and is not returned; when 2m = 0 (mod n) every
+    phase is +/-1 and the block is returned real.
     """
-    n = orbits.n
-    count = len(orbits.periods)
-    starts = np.cumsum(orbits.periods) - orbits.periods
-    columns = block[:, orbits.members[starts]][orbits.members]
-    by_shift = np.zeros((count, n, count))
-    by_shift[np.repeat(np.arange(count), orbits.periods), orbits.shifts] = columns
-    sums = np.fft.fft(by_shift, axis=1)
+    bonds = _bonds(n, BoundaryCondition.PERIODIC)
+    states = np.array(sector_basis(n, n_down).indices, dtype=np.int64)
+    representative, _, period = _rotations(n, states)
+    is_representative = representative == states
+    representatives, periods = states[is_representative], period[is_representative]
+    diagonal, exchanges = _hamiltonian_terms(n, representatives, bonds)
+    sources, images = (np.concatenate(parts) for parts in zip(*exchanges))
+    image_representatives, shifts, _ = _rotations(n, images)
+    targets = np.searchsorted(representatives, image_representatives)
+    weights = 0.5 * np.sqrt(periods[sources] / periods[targets])
     blocks = []
-    for m in range(n):
-        kept = np.flatnonzero(m * orbits.periods % n == 0)
-        h_k = sums[kept, m][:, kept]
-        if 2 * m % n == 0:
-            h_k = h_k.real
-        periods = orbits.periods[kept]
-        blocks.append(h_k * np.sqrt(periods / periods[:, None]))
+    for m in range(n // 2 + 1):
+        h_k = np.diag(diagonal).astype(complex)
+        np.add.at(h_k, (targets, sources), weights * np.exp(-2j * np.pi * (m * shifts % n) / n))
+        kept = np.flatnonzero(m * periods % n == 0)
+        h_k = h_k[np.ix_(kept, kept)]
+        blocks.append(h_k.real if 2 * m % n == 0 else h_k)
     return blocks
 
 
-def _momentum_spectrum(n: int, n_down: int, block: np.ndarray) -> np.ndarray:
+def _momentum_spectrum(n: int, n_down: int) -> np.ndarray:
     """Ascending spectrum of a ring sector, solved in its momentum blocks m = 0..n/2.
 
     Block n - m is the complex conjugate of block m and has its spectrum.
     """
-    blocks = momentum_blocks(block, translation_orbits(n, n_down))
     parts = []
-    for m in range(n // 2 + 1):
-        if len(blocks[m]):
-            values = np.linalg.eigvalsh(blocks[m])
+    for m, h_k in enumerate(momentum_blocks(n, n_down)):
+        if len(h_k):
+            values = np.linalg.eigvalsh(h_k)
             parts.extend([values] if 2 * m % n == 0 else [values, values])
     return np.sort(np.concatenate(parts))
 
@@ -216,14 +217,13 @@ def sector_spectra(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIO
     periodic = BoundaryCondition(bc) is BoundaryCondition.PERIODIC
     solved = []
     for n_down in range(n // 2 + 1):
-        block = sector_hamiltonian(n, n_down, bc)
         if periodic:
-            values = _momentum_spectrum(n, n_down, block)
+            values = _momentum_spectrum(n, n_down)
         elif 2 * n_down == n:
-            even, odd = _flip_halves(block)
+            even, odd = _flip_halves(sector_hamiltonian(n, n_down, bc))
             values = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
         else:
-            values = np.linalg.eigvalsh(block)
+            values = np.linalg.eigvalsh(sector_hamiltonian(n, n_down, bc))
         values.setflags(write=False)
         solved.append(values)
     return [solved[min(k, n - k)] for k in range(n + 1)]

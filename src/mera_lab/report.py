@@ -67,10 +67,9 @@ def build_report(
 
     if entangler == gates.ROTATION:
         spec = gates.EntanglerSpec.rotation(analytic.theta)
-        energy_mera, ratio, state = mera.optimal_ratio(spec.matrix(), h4)
     else:
         spec = gates.EntanglerSpec.rmatrix(fit.roots[0])
-        energy_mera, ratio, state = mera.optimal_ratio(spec.matrix(), h4)
+    energy_mera, ratio, state = mera.optimal_ratio(spec.matrix(), h4)
 
     taps = wavelet.d4_coefficients().taps
     angles = wavelet.angle_report(analytic.theta, roots.roots[0].real)

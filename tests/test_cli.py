@@ -75,9 +75,8 @@ sector spectra (by down-spin count):
 """
 
 
-# sha256 of the `ed` stdout for every supported size and boundary, as printed
-# by the dense-block builder before the ring moved to momentum blocks built
-# from orbit representatives.
+# sha256 of the `ed` stdout for every supported size and boundary: a change to
+# how the sector or momentum blocks are built must not move a printed byte.
 ED_STDOUT_SHA256 = {
     (2, "open"): "aa05a166a5cf6d8dd1d2f8c5bc6e800dbdb3d634269836129c1698966a054df9",
     (3, "open"): "b26e1abf7d2cf331d8be6f70c9700dccf44f917d52fd98c05cc4d5ffa7d2e80e",
@@ -205,20 +204,26 @@ class TestEd:
         assert values == values[::-1]
 
     def test_twelve_sites_solves_only_the_lower_sectors(self, capsys, monkeypatch):
-        solved, built = [], []
+        solved, sectors, built = [], [], []
         eigvalsh = np.linalg.eigvalsh
+        momentum_blocks = heisenberg.momentum_blocks
         sector_hamiltonian = heisenberg.sector_hamiltonian
 
         def counting_eigvalsh(block):
             solved[-1].append(len(block))
             return eigvalsh(block)
 
-        def recording_sector_hamiltonian(n, n_down, bc):
-            built.append(n_down)
+        def recording_momentum_blocks(n, n_down):
+            sectors.append(n_down)
             solved.append([])
-            return sector_hamiltonian(n, n_down, bc)
+            return momentum_blocks(n, n_down)
+
+        def recording_sector_hamiltonian(*args):
+            built.append(args)
+            return sector_hamiltonian(*args)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(heisenberg, "momentum_blocks", recording_momentum_blocks)
         monkeypatch.setattr(heisenberg, "sector_hamiltonian", recording_sector_hamiltonian)
         assert main(["ed", "--sites", "12"]) == 0
         assert "n_down=12 dim=1" in capsys.readouterr().out
@@ -233,7 +238,9 @@ class TestEd:
             [66, 66, 66, 66, 66, 66, 66],
             [80, 75, 78, 76, 78, 75, 80],
         ]
-        assert built == [0, 1, 2, 3, 4, 5, 6]
+        assert sectors == [0, 1, 2, 3, 4, 5, 6]
+        # The ring builds its blocks from orbit representatives, never a dense sector block.
+        assert built == []
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,77 +241,107 @@ class TestSpinFlip:
 
 
 def ring_sector_blocks(n: int):
-    """(sector block, its momentum blocks m = 0..n-1) of every ring sector."""
+    """(sector block, its momentum blocks m = 0..n/2) of every ring sector."""
     for n_down in range(n + 1):
-        block = hb.sector_hamiltonian(n, n_down, PERIODIC)
-        yield block, hb.momentum_blocks(block, hb.translation_orbits(n, n_down))
+        yield hb.sector_hamiltonian(n, n_down, PERIODIC), hb.momentum_blocks(n, n_down)
+
+
+def shifted(word: str, r: int) -> str:
+    # Shifting every site by one moves the last site to the front.
+    return word[len(word) - r :] + word[: len(word) - r]
+
+
+def momentum_block_from_sector(n: int, n_down: int, m: int) -> np.ndarray:
+    """<b|H_k|a> on the normalized states sum_r e^{-i k r} T^r |a>, from the dense sector block.
+
+    One state per orbit whose sum does not vanish, in ascending order of the
+    orbit's smallest member.
+    """
+    indices = hb.sector_basis(n, n_down).indices
+    position = {state: i for i, state in enumerate(indices)}
+    columns = []
+    for state in indices:
+        word = format(state, f"0{n}b")
+        if word != min(shifted(word, r) for r in range(n)):
+            continue
+        column = np.zeros(len(indices), dtype=complex)
+        for r in range(n):
+            column[position[int(shifted(word, r), 2)]] += np.exp(-2j * np.pi * m * r / n)
+        if np.linalg.norm(column) > 1e-9:
+            columns.append(column / np.linalg.norm(column))
+    basis = np.array(columns).reshape(-1, len(indices)).T
+    return basis.conj().T @ hb.sector_hamiltonian(n, n_down, PERIODIC) @ basis
 
 
 class TestMomentumBlocks:
     @pytest.mark.parametrize("n", [2, 4, 6, 9])
     def test_orbits_match_string_rotations(self, n):
         for n_down in range(n + 1):
-            orbits = hb.translation_orbits(n, n_down)
-            indices = hb.sector_basis(n, n_down).indices
-            bits = [format(state, f"0{n}b") for state in indices]
-
-            def shifted(word: str, r: int) -> str:
-                # Shifting every site by one moves the last site to the front.
-                return word[n - r :] + word[: n - r]
-
-            start = 0
-            for period in orbits.periods:
-                members = orbits.members[start : start + period]
-                shifts = orbits.shifts[start : start + period]
-                start += period
-                rep = bits[members[0]]
-                rotations = [shifted(rep, r) for r in range(n)]
-                assert rep == min(rotations)
-                assert period == next(r for r in range(1, n + 1) if rotations[r % n] == rep)
-                assert sorted(bits[i] for i in members) == sorted(set(rotations))
-                for member, shift in zip(members, shifts):
-                    assert 0 <= shift < period
-                    assert shifted(bits[member], shift) == rep
-            assert start == len(indices)
+            states = np.array(hb.sector_basis(n, n_down).indices, dtype=np.int64)
+            representatives, shifts, periods = hb._rotations(n, states)
+            for state, rep, shift, period in zip(states, representatives, shifts, periods):
+                word = format(state, f"0{n}b")
+                rotations = [shifted(word, r) for r in range(n)]
+                assert format(rep, f"0{n}b") == min(rotations)
+                assert shift == rotations.index(min(rotations))
+                assert period == next(r for r in range(1, n + 1) if rotations[r % n] == word)
+                assert np.count_nonzero(representatives == rep) == period
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_block_sizes_sum_to_the_sector_dimension(self, n):
+        # Blocks m = 1..(n-1)/2 stand for block n - m as well.
         for block, blocks in ring_sector_blocks(n):
-            assert len(blocks) == n
-            assert sum(len(h_k) for h_k in blocks) == len(block)
+            assert len(blocks) == n // 2 + 1
+            assert sum(len(h_k) * (1 if 2 * m % n == 0 else 2) for m, h_k in enumerate(blocks)) == len(block)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_blocks_are_hermitian(self, n):
         for _, blocks in ring_sector_blocks(n):
-            for h_k in blocks:
+            for m, h_k in enumerate(blocks):
                 assert h_k.shape == (len(h_k), len(h_k))
+                if 2 * m % n == 0:
+                    assert np.isrealobj(h_k)
                 if len(h_k):
                     assert np.max(np.abs(h_k - h_k.conj().T)) <= 1e-14
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_opposite_momenta_are_complex_conjugates(self, n):
-        for _, blocks in ring_sector_blocks(n):
-            for m in range(n):
-                mirror = blocks[(n - m) % n]
-                assert mirror.shape == blocks[m].shape
-                if 2 * m % n == 0:
-                    assert np.isrealobj(blocks[m])
-                if len(mirror):
-                    assert np.max(np.abs(mirror - blocks[m].conj())) <= 1e-14
+        # Only m <= n/2 is built; block n - m, formed here from the dense sector
+        # block, must be the conjugate of block m, whose spectrum it shares.
+        for n_down in range(n + 1):
+            for m, h_k in enumerate(hb.momentum_blocks(n, n_down)):
+                mirror = momentum_block_from_sector(n, n_down, (n - m) % n)
+                assert mirror.shape == h_k.shape
+                if len(h_k):
+                    assert np.max(np.abs(mirror - h_k.conj())) <= 1e-14
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_union_of_block_spectra_is_the_sector_spectrum(self, n):
         for block, blocks in ring_sector_blocks(n):
-            union = np.sort(np.concatenate([np.linalg.eigvalsh(h_k) for h_k in blocks if len(h_k)]))
+            parts = []
+            for m, h_k in enumerate(blocks):
+                if len(h_k):
+                    values = np.linalg.eigvalsh(h_k)
+                    parts.extend([values] if 2 * m % n == 0 else [values, values])
+            union = np.sort(np.concatenate(parts))
             assert np.max(np.abs(union - np.linalg.eigvalsh(block))) <= 1e-12
+
+    def test_twelve_site_ring_holds_no_dense_sector_block(self):
+        # The 924 x 924 half-filling block alone is 6.8 MB.
+        tracemalloc.start()
+        try:
+            hb.sector_spectra(12, PERIODIC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("n, m", [(4, 0), (6, 3), (8, 0), (10, 5), (12, 0)])
     def test_ground_state_momentum_is_pi_n_over_2(self, n, m):
         # k = 2 pi m / n = pi n / 2 (mod 2 pi)
         assert m == n * n // 4 % n
-        block = hb.sector_hamiltonian(n, n // 2, PERIODIC)
-        energy = np.linalg.eigvalsh(block)[0]
-        blocks = hb.momentum_blocks(block, hb.translation_orbits(n, n // 2))
+        energy = np.linalg.eigvalsh(hb.sector_hamiltonian(n, n // 2, PERIODIC))[0]
+        blocks = hb.momentum_blocks(n, n // 2)
         holding = [j for j, h_k in enumerate(blocks) if len(h_k) and np.linalg.eigvalsh(h_k)[0] - energy <= 1e-10]
         assert holding == [m]
 
@@ -318,6 +349,6 @@ class TestMomentumBlocks:
         momenta = bethe.momenta_from_roots(bethe.solve_two_magnon(4).roots)
         total = math.remainder(sum(momenta), 2 * math.pi)
         assert abs(total) < 1e-12
-        blocks = hb.momentum_blocks(hb.sector_hamiltonian(4, 2, PERIODIC), hb.translation_orbits(4, 2))
+        blocks = hb.momentum_blocks(4, 2)
         m = round(total / (2 * math.pi / 4)) % 4
         assert abs(np.linalg.eigvalsh(blocks[m])[0] - (-2.0)) < 1e-12

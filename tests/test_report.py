@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mera_lab import report
 from mera_lab.errors import DomainError, NumericError
@@ -76,3 +78,15 @@ def test_float_rendering_17_significant_digits():
 def test_non_finite_floats_rejected():
     with pytest.raises(NumericError):
         report._render(math.nan)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_float_round_trips(value):
+    # -0.0 renders as "-0", which json.loads reads as the int 0: the value is
+    # recovered, the sign of a zero is not.
+    assert json.loads(report._render(value)) == value
+
+
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_complex_renders_as_re_im_pair(value):
+    assert json.loads(report._render(report._jsonable(value))) == [value.real, value.imag]
