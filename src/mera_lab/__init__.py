@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
 )
 from .gates import BCFunctions, EntanglerSpec
-from .heisenberg import BoundaryCondition, SectorBasis
+from .heisenberg import BoundaryCondition
 from .mera import IsometryParams, NuFitResult, ThetaSolution, TrialState
 from .wavelet import AngleReport, ScalingFilter
 
@@ -35,7 +35,6 @@ __all__ = [
     "NumericError",
     "ResourceError",
     "ScalingFilter",
-    "SectorBasis",
     "ShapeError",
     "ThetaSolution",
     "TrialState",

@@ -17,28 +17,29 @@ and it refuses a degenerate ground state, whose vector would be arbitrary.
 The periodic four-site ring, which every circuit path uses, is built and
 diagonalized once per process by ``four_site_ring``.
 
-``sector_spectra`` uses the global spin flip and, on the ring, translations
+``sector_spectra`` uses the global spin flip and a cyclic site symmetry g
 (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). Flipping every spin complements
 the bits of a state, which maps the ascending basis of sector k onto that of
 sector n - k in reverse order, and keeps every bond's alignment; so the
 n - k block is the k block with rows and columns reversed, exactly, and only
-sectors k <= n/2 are solved. On the ring, the shift of every site by one
-commutes with H, and each sector splits into crystal-momentum blocks
-k = 2 pi m / n, one state per orbit of that shift. ``momentum_blocks`` runs
-the emitter on the orbits' representatives only and maps each image onto its
-orbit (``_rotations``), so no dense sector block is formed. Blocks m and
-n - m are complex conjugates, so only m = 0..n/2 is solved. The total
-momentum is the sum of the Bethe momenta. At 12 sites the largest ring
-blocks solved are 80 x 80 (m = 0 and m = 6 at half filling). An open chain's
-half-filling block (even n), on which the flip has no fixed states, splits
-into its even and odd halves A +/- B J (see ``_flip_halves``); at 12 open
-sites the largest block solved is 792 x 792.
+sectors k <= n/2 are solved. On the ring g shifts every site by one and has
+order n; on an open chain g reverses the sites, i <-> n - 1 - i, and has
+order 2. Either commutes with H, and each sector splits into blocks m, one
+state per orbit of g: crystal momenta k = 2 pi m / n on the ring, the
+reflection-even (m = 0) and reflection-odd (m = 1) states on an open chain.
+``symmetry_blocks`` runs the emitter on the orbits' representatives only and
+maps each image onto its orbit (``_orbits``), so no dense sector block is
+formed. Blocks m and N - m of a symmetry of order N are complex conjugates,
+so only m = 0..N/2 is solved. On the ring the total momentum is the sum of
+the Bethe momenta. At 12 sites the largest block solved is 80 x 80 on the
+ring (m = 0 and m = 6 at half filling) and 472 x 472 on an open chain (the
+reflection-even half-filling block).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
 
 import numpy as np
@@ -53,18 +54,13 @@ class BoundaryCondition(str, Enum):
     PERIODIC = "periodic"
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Ascending full-space indices of the fixed-magnetization sector."""
-
-    n: int
-    n_down: int
-    indices: tuple[int, ...]
+def _check_site_count(n: int) -> None:
+    if not 2 <= n <= MAX_SITES:
+        raise ResourceError(f"site count {n} outside the supported range 2..{MAX_SITES}")
 
 
 def _bonds(n: int, bc: BoundaryCondition | str) -> list[tuple[int, int]]:
-    if not 2 <= n <= MAX_SITES:
-        raise ResourceError(f"site count {n} outside the supported range 2..{MAX_SITES}")
+    _check_site_count(n)
     bonds = [(i, i + 1) for i in range(n - 1)]
     if BoundaryCondition(bc) is BoundaryCondition.PERIODIC:
         bonds.append((n - 1, 0))
@@ -107,123 +103,108 @@ def hamiltonian(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC
     return _build_hamiltonian(n, np.arange(1 << n), bonds)
 
 
-def sector_basis(n: int, n_down: int) -> SectorBasis:
-    """All basis states with exactly ``n_down`` down spins, ascending."""
+def sector_basis(n: int, n_down: int) -> np.ndarray:
+    """All basis states with exactly ``n_down`` down spins, as an ascending int64 array."""
+    _check_site_count(n)
     if not 0 <= n_down <= n:
         raise DomainError(f"down-spin count {n_down} invalid for {n} sites")
-    states = np.arange(1 << n)
-    ones = np.zeros_like(states)
-    for k in range(n):
-        ones += (states >> k) & 1
-    return SectorBasis(n=n, n_down=n_down, indices=tuple(np.flatnonzero(ones == n_down).tolist()))
+    return np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n_down)
 
 
 def sector_hamiltonian(
     n: int, n_down: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC
 ) -> np.ndarray:
     """Block of H with ``n_down`` down spins, in ``sector_basis`` order; real symmetric."""
-    bonds = _bonds(n, bc)
-    states = np.array(sector_basis(n, n_down).indices, dtype=np.int64)
-    return _build_hamiltonian(n, states, bonds)
+    return _build_hamiltonian(n, sector_basis(n, n_down), _bonds(n, bc))
 
 
-def _flip_halves(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip-even and flip-odd blocks A + B J and A - B J of a flip-symmetric block.
+def _symmetry(n: int, bc: BoundaryCondition | str) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """Order and action on states of the cyclic site symmetry g of ``bc``.
 
-    The flip sends basis index i to d - 1 - i, so the block is
-    [[A, B], [J B J, J A J]] with J the h x h reversal, h = d/2. The vectors
-    (x, +/-J x) span the two flip parities, on which the block acts as
-    A +/- B J. Both are symmetric and their entries are exact sums of
-    multiples of 1/4.
+    On the ring g shifts every site by one, the last to the front, and has
+    order n; on an open chain g reverses the sites, i <-> n - 1 - i, and has
+    order 2.
     """
-    half = len(block) // 2
-    a = block[:half, :half]
-    bj = block[:half, half:][:, ::-1]
-    return a + bj, a - bj
+    if BoundaryCondition(bc) is BoundaryCondition.PERIODIC:
+        return n, lambda states: (states >> 1) | ((states & 1) << (n - 1))
+    return 2, lambda states: sum(((states >> i) & 1) << (n - 1 - i) for i in range(n))
 
 
-def _rotations(n: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each state's orbit under the ring shift T: (representative, shift, period).
+def _orbits(n: int, states: np.ndarray, bc: BoundaryCondition | str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each state's orbit under the site symmetry g of ``bc``: (representative, shift, period).
 
     The representative is the smallest state of the orbit, the shift the
-    fewest applications of T that map the state onto it, and the period the
-    orbit's number of members. T moves every site by one, the last to the front.
+    fewest applications of g that map the state onto it, and the period the
+    orbit's number of members.
     """
-    rotated = representative = states
+    order, g = _symmetry(n, bc)
+    image = representative = states
     shift = np.zeros_like(states)
-    period = np.full_like(states, n)
-    for r in range(1, n):
-        rotated = (rotated >> 1) | ((rotated & 1) << (n - 1))
-        smaller = rotated < representative
-        representative = np.where(smaller, rotated, representative)
+    period = np.full_like(states, order)
+    for r in range(1, order):
+        image = g(image)
+        smaller = image < representative
+        representative = np.where(smaller, image, representative)
         shift = np.where(smaller, r, shift)
-        period = np.where((rotated == states) & (period == n), r, period)
+        period = np.where((image == states) & (period == order), r, period)
     return representative, shift, period
 
 
-def momentum_blocks(n: int, n_down: int) -> list[np.ndarray]:
-    """Blocks H_k of the ring sector with ``n_down`` down spins, k = 2 pi m / n, m = 0..n/2.
+def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np.ndarray]:
+    """Blocks H_m, m = 0..N/2, of Sz sector ``n_down`` under the site symmetry g of ``bc``.
 
-    Block m acts on one momentum state per orbit representative a whose
-    period p_a has m p_a = 0 (mod n), in ascending order of a. H is built on
-    the representatives only: the diagonal of H is that of every block, and
-    an exchange image of a that l shifts map onto representative b adds
-    1/2 e^{-i k l} sqrt(p_a / p_b) to <b|H_k|a>. Block n - m is the complex
-    conjugate of block m and is not returned; when 2m = 0 (mod n) every
-    phase is +/-1 and the block is returned real.
+    g has order N (see ``_symmetry``). On the ring block m holds crystal
+    momentum k = 2 pi m / n; on an open chain block 0 is reflection-even and
+    block 1 reflection-odd. Block m acts on one symmetric state per orbit
+    representative a whose period p_a has m p_a = 0 (mod N), in ascending
+    order of a. H is built on the representatives only: the diagonal of H is
+    that of every block, and an exchange image of a that l applications of g
+    map onto representative b adds 1/2 e^{-2 pi i m l / N} sqrt(p_a / p_b)
+    to <b|H_m|a>. Block N - m is the complex conjugate of block m and is not
+    returned. When 2m = 0 (mod N) every phase is +/-1 and the block is
+    assembled real; every other block is complex.
     """
-    bonds = _bonds(n, BoundaryCondition.PERIODIC)
-    states = np.array(sector_basis(n, n_down).indices, dtype=np.int64)
-    representative, _, period = _rotations(n, states)
+    order, _ = _symmetry(n, bc)
+    bonds = _bonds(n, bc)
+    states = sector_basis(n, n_down)
+    representative, _, period = _orbits(n, states, bc)
     is_representative = representative == states
     representatives, periods = states[is_representative], period[is_representative]
     diagonal, exchanges = _hamiltonian_terms(n, representatives, bonds)
     sources, images = (np.concatenate(parts) for parts in zip(*exchanges))
-    image_representatives, shifts, _ = _rotations(n, images)
+    image_representatives, shifts, _ = _orbits(n, images, bc)
     targets = np.searchsorted(representatives, image_representatives)
     weights = 0.5 * np.sqrt(periods[sources] / periods[targets])
     blocks = []
-    for m in range(n // 2 + 1):
-        h_k = np.diag(diagonal).astype(complex)
-        np.add.at(h_k, (targets, sources), weights * np.exp(-2j * np.pi * (m * shifts % n) / n))
-        kept = np.flatnonzero(m * periods % n == 0)
-        h_k = h_k[np.ix_(kept, kept)]
-        blocks.append(h_k.real if 2 * m % n == 0 else h_k)
+    for m in range(order // 2 + 1):
+        if 2 * m % order == 0:
+            phases = np.where(m * shifts % order == 0, 1.0, -1.0)
+        else:
+            phases = np.exp(-2j * np.pi * (m * shifts % order) / order)
+        h_m = np.diag(diagonal).astype(phases.dtype, copy=False)
+        np.add.at(h_m, (targets, sources), weights * phases)
+        kept = np.flatnonzero(m * periods % order == 0)
+        blocks.append(h_m[np.ix_(kept, kept)])
     return blocks
-
-
-def _momentum_spectrum(n: int, n_down: int) -> np.ndarray:
-    """Ascending spectrum of a ring sector, solved in its momentum blocks m = 0..n/2.
-
-    Block n - m is the complex conjugate of block m and has its spectrum.
-    """
-    parts = []
-    for m, h_k in enumerate(momentum_blocks(n, n_down)):
-        if len(h_k):
-            values = np.linalg.eigvalsh(h_k)
-            parts.extend([values] if 2 * m % n == 0 else [values, values])
-    return np.sort(np.concatenate(parts))
 
 
 def sector_spectra(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> list[np.ndarray]:
     """Ascending spectra of all n + 1 Sz sectors, indexed by down-spin count.
 
     Only the sectors n_down <= n/2 are diagonalized: sector n - k is sector k
-    under the spin flip and shares its read-only array. A ring sector is
-    solved in its momentum blocks k = 2 pi m / n, m = 0..n/2 (see
-    ``momentum_blocks``); an open chain's half-filling block in its two
-    flip-parity halves (see ``_flip_halves``).
+    under the spin flip and shares its read-only array. Each is solved in its
+    blocks under the site symmetry of ``bc`` (see ``symmetry_blocks``); a
+    complex block m also stands for its conjugate block N - m, whose
+    spectrum is the same.
     """
-    periodic = BoundaryCondition(bc) is BoundaryCondition.PERIODIC
     solved = []
     for n_down in range(n // 2 + 1):
-        if periodic:
-            values = _momentum_spectrum(n, n_down)
-        elif 2 * n_down == n:
-            even, odd = _flip_halves(sector_hamiltonian(n, n_down, bc))
-            values = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
-        else:
-            values = np.linalg.eigvalsh(sector_hamiltonian(n, n_down, bc))
+        parts = []
+        for h_m in symmetry_blocks(n, n_down, bc):
+            if len(h_m):
+                values = np.linalg.eigvalsh(h_m)
+                parts.extend([values] if np.isrealobj(h_m) else [values, values])
+        values = np.sort(np.concatenate(parts))
         values.setflags(write=False)
         solved.append(values)
     return [solved[min(k, n - k)] for k in range(n + 1)]

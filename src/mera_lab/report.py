@@ -58,8 +58,7 @@ def build_report(
     analytic = mera.solve_theta_analytic()
     h4, energy_ed, ground = four_site_ring()
 
-    sector = sector_basis(4, 2)
-    amps = ground[list(sector.indices)].real
+    amps = ground[sector_basis(4, 2)].real
     coefficients = [float(a / amps[0]) for a in amps]
 
     roots = bethe.solve_two_magnon(4)

@@ -203,43 +203,55 @@ class TestEd:
         values = [line.split(": ", 1)[1] for line in lines]
         assert values == values[::-1]
 
-    def test_twelve_sites_solves_only_the_lower_sectors(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "bc, expected",
+        [
+            # One block per crystal momentum m = 0..6 of each sector n_down = 0..6; the
+            # all-up sector has only m = 0.
+            (
+                "periodic",
+                [
+                    [1],
+                    [1, 1, 1, 1, 1, 1, 1],
+                    [6, 5, 6, 5, 6, 5, 6],
+                    [19, 18, 18, 19, 18, 18, 19],
+                    [43, 40, 42, 40, 43, 40, 42],
+                    [66, 66, 66, 66, 66, 66, 66],
+                    [80, 75, 78, 76, 78, 75, 80],
+                ],
+            ),
+            # The reflection-even and reflection-odd blocks; the all-up sector has no odd state.
+            ("open", [[1], [6, 6], [36, 30], [110, 110], [255, 240], [396, 396], [472, 452]]),
+        ],
+        ids=["periodic", "open"],
+    )
+    def test_twelve_sites_solves_only_the_lower_sectors(self, capsys, monkeypatch, bc, expected):
         solved, sectors, built = [], [], []
         eigvalsh = np.linalg.eigvalsh
-        momentum_blocks = heisenberg.momentum_blocks
+        symmetry_blocks = heisenberg.symmetry_blocks
         sector_hamiltonian = heisenberg.sector_hamiltonian
 
         def counting_eigvalsh(block):
             solved[-1].append(len(block))
             return eigvalsh(block)
 
-        def recording_momentum_blocks(n, n_down):
+        def recording_symmetry_blocks(n, n_down, bc):
             sectors.append(n_down)
             solved.append([])
-            return momentum_blocks(n, n_down)
+            return symmetry_blocks(n, n_down, bc)
 
         def recording_sector_hamiltonian(*args):
             built.append(args)
             return sector_hamiltonian(*args)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        monkeypatch.setattr(heisenberg, "momentum_blocks", recording_momentum_blocks)
+        monkeypatch.setattr(heisenberg, "symmetry_blocks", recording_symmetry_blocks)
         monkeypatch.setattr(heisenberg, "sector_hamiltonian", recording_sector_hamiltonian)
-        assert main(["ed", "--sites", "12"]) == 0
+        assert main(["ed", "--sites", "12", "--bc", bc]) == 0
         assert "n_down=12 dim=1" in capsys.readouterr().out
-        # One block per crystal momentum m = 0..6 of each sector n_down = 0..6; the
-        # all-up sector has only m = 0.
-        assert solved == [
-            [1],
-            [1, 1, 1, 1, 1, 1, 1],
-            [6, 5, 6, 5, 6, 5, 6],
-            [19, 18, 18, 19, 18, 18, 19],
-            [43, 40, 42, 40, 43, 40, 42],
-            [66, 66, 66, 66, 66, 66, 66],
-            [80, 75, 78, 76, 78, 75, 80],
-        ]
+        assert solved == expected
         assert sectors == [0, 1, 2, 3, 4, 5, 6]
-        # The ring builds its blocks from orbit representatives, never a dense sector block.
+        # Both boundaries build their blocks from orbit representatives, never a dense sector block.
         assert built == []
 
     @settings(max_examples=500, deadline=None)

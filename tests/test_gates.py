@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mera_lab import gates
 from mera_lab.errors import DomainError, ResourceError, ShapeError
@@ -73,6 +75,13 @@ class TestRotationStack:
             assert one.shape == (4, 4)
             assert np.array_equal(one.view(np.uint64), gates.entangler_rotations([theta])[0].view(np.uint64))
 
+    @settings(deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16))
+    def test_stacks_are_unitary(self, thetas):
+        stack = gates.entangler_rotations(thetas)
+        products = stack @ stack.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(products - I4), initial=0.0) < 1e-14
+
     def test_empty_and_bad_shapes(self):
         assert gates.entangler_rotations(np.array([])).shape == (0, 4, 4)
         with pytest.raises(ShapeError):
@@ -117,6 +126,17 @@ class TestWeights:
             w = gates.bc(nu)
             assert abs(w.b + w.c - 1.0) < 1e-14
 
+    @settings(deadline=None)
+    @given(st.complex_numbers(max_magnitude=1e307, allow_nan=False, allow_infinity=False))
+    def test_sum_identity_outside_the_pole_guard(self, nu):
+        # b and c are each of size (2 + |nu|) / |nu + 2i|, so rounding leaves
+        # b + c - 1 of that size times the unit roundoff: 1e-14 away from the
+        # pole, 3e-5 at |nu + 2i| = 1e-11. Above |nu| of about 1.3e308 the
+        # division overflows to nan.
+        assume(abs(nu + 2j) >= gates._POLE_GUARD)
+        w = gates.bc(nu)
+        assert abs(w.b + w.c - 1.0) < 1e-14 * (2.0 + abs(nu)) / abs(nu + 2j)
+
 
 class TestRMatrix:
     def test_zero_parameter_identity(self):
@@ -124,6 +144,12 @@ class TestRMatrix:
 
     def test_real_parameter_unitary(self):
         r = gates.rmatrix(1.0)
+        assert np.max(np.abs(r @ r.conj().T - I4)) < 1e-13
+
+    @settings(deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_unitary_at_every_real_parameter(self, nu):
+        r = gates.rmatrix(nu)
         assert np.max(np.abs(r @ r.conj().T - I4)) < 1e-13
 
     def test_complex_parameter_not_unitary_but_returned(self):

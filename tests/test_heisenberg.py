@@ -72,7 +72,7 @@ class TestSectorHamiltonian:
         # n = 2 periodic has the bond (0, 1) twice, so its exchange element is 1.
         h = hb.hamiltonian(n, bc)
         for n_down in range(n + 1):
-            idx = np.array(hb.sector_basis(n, n_down).indices)
+            idx = hb.sector_basis(n, n_down)
             assert np.array_equal(hb.sector_hamiltonian(n, n_down, bc), h[np.ix_(idx, idx)])
 
     def test_all_up_sector(self):
@@ -92,23 +92,29 @@ class TestSectorHamiltonian:
 
 class TestSectorBasis:
     def test_half_filling_four_sites(self):
-        assert hb.sector_basis(4, 2).indices == SECTOR_INDICES
+        assert np.array_equal(hb.sector_basis(4, 2), SECTOR_INDICES)
 
     def test_no_down_spins(self):
-        assert hb.sector_basis(2, 0).indices == (0,)
+        assert np.array_equal(hb.sector_basis(2, 0), [0])
 
     def test_single_down_three_sites(self):
-        assert hb.sector_basis(3, 1).indices == (1, 2, 4)
+        assert np.array_equal(hb.sector_basis(3, 1), [1, 2, 4])
 
     def test_invalid_count(self):
         with pytest.raises(DomainError):
             hb.sector_basis(3, 4)
 
+    def test_site_count_bounds(self):
+        with pytest.raises(ResourceError):
+            hb.sector_basis(1, 0)
+        with pytest.raises(ResourceError):
+            hb.sector_basis(13, 1)
+
     def test_matches_popcount_definition(self):
         for n_down in range(9):
-            indices = hb.sector_basis(8, n_down).indices
-            assert indices == tuple(m for m in range(256) if bin(m).count("1") == n_down)
-            assert all(type(m) is int for m in indices)
+            states = hb.sector_basis(8, n_down)
+            assert np.array_equal(states, [m for m in range(256) if bin(m).count("1") == n_down])
+            assert states.dtype == np.int64
 
 
 class TestGroundState:
@@ -217,13 +223,6 @@ class TestSpinFlip:
         assert split.shape == whole.shape
         assert np.max(np.abs(split - whole)) <= 1e-12
 
-    def test_flip_halves_are_exact_and_symmetric(self):
-        even, odd = hb._flip_halves(hb.sector_hamiltonian(8, 4, PERIODIC))
-        for half in (even, odd):
-            assert half.shape == (35, 35)
-            assert np.array_equal(half, half.T)
-            assert np.array_equal(half * 4, np.round(half * 4))
-
     @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
     @pytest.mark.parametrize("n", range(2, 13))
     def test_spectra_match_each_sector(self, n, bc):
@@ -240,10 +239,22 @@ class TestSpinFlip:
             assert not spectra[n_down].flags.writeable
 
 
-def ring_sector_blocks(n: int):
-    """(sector block, its momentum blocks m = 0..n/2) of every ring sector."""
+def both_boundaries(sizes):
+    """(n, bc) cases for every size: id n on the ring, open-n on an open chain."""
+    return [
+        pytest.param(n, bc, id=str(n) if bc is PERIODIC else f"open-{n}") for bc in (PERIODIC, OPEN) for n in sizes
+    ]
+
+
+def group_order(n: int, bc: hb.BoundaryCondition) -> int:
+    # The ring's shift by one site has order n; an open chain's site reversal has order 2.
+    return n if bc is PERIODIC else 2
+
+
+def sector_blocks(n: int, bc: hb.BoundaryCondition):
+    """(sector block, its symmetry blocks m = 0..N/2) of every sector."""
     for n_down in range(n + 1):
-        yield hb.sector_hamiltonian(n, n_down, PERIODIC), hb.momentum_blocks(n, n_down)
+        yield hb.sector_hamiltonian(n, n_down, bc), hb.symmetry_blocks(n, n_down, bc)
 
 
 def shifted(word: str, r: int) -> str:
@@ -257,7 +268,7 @@ def momentum_block_from_sector(n: int, n_down: int, m: int) -> np.ndarray:
     One state per orbit whose sum does not vanish, in ascending order of the
     orbit's smallest member.
     """
-    indices = hb.sector_basis(n, n_down).indices
+    indices = hb.sector_basis(n, n_down).tolist()
     position = {state: i for i, state in enumerate(indices)}
     columns = []
     for state in indices:
@@ -274,55 +285,62 @@ def momentum_block_from_sector(n: int, n_down: int, m: int) -> np.ndarray:
 
 
 class TestMomentumBlocks:
-    @pytest.mark.parametrize("n", [2, 4, 6, 9])
-    def test_orbits_match_string_rotations(self, n):
+    """Symmetry blocks on both boundaries: ring momenta (ids n), open-chain reflection parities (ids open-n)."""
+
+    @pytest.mark.parametrize("n, bc", both_boundaries([2, 4, 6, 9]))
+    def test_orbits_match_string_rotations(self, n, bc):
+        # g^r of a state's bit string: the ring shifts it by r sites, an open chain reverses it r times.
+        order = group_order(n, bc)
         for n_down in range(n + 1):
-            states = np.array(hb.sector_basis(n, n_down).indices, dtype=np.int64)
-            representatives, shifts, periods = hb._rotations(n, states)
+            states = hb.sector_basis(n, n_down)
+            representatives, shifts, periods = hb._orbits(n, states, bc)
             for state, rep, shift, period in zip(states, representatives, shifts, periods):
                 word = format(state, f"0{n}b")
-                rotations = [shifted(word, r) for r in range(n)]
-                assert format(rep, f"0{n}b") == min(rotations)
-                assert shift == rotations.index(min(rotations))
-                assert period == next(r for r in range(1, n + 1) if rotations[r % n] == word)
+                images = [shifted(word, r) if bc is PERIODIC else word[:: (-1) ** r] for r in range(order)]
+                assert format(rep, f"0{n}b") == min(images)
+                assert shift == images.index(min(images))
+                assert period == next(r for r in range(1, order + 1) if images[r % order] == word)
                 assert np.count_nonzero(representatives == rep) == period
 
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_block_sizes_sum_to_the_sector_dimension(self, n):
-        # Blocks m = 1..(n-1)/2 stand for block n - m as well.
-        for block, blocks in ring_sector_blocks(n):
-            assert len(blocks) == n // 2 + 1
-            assert sum(len(h_k) * (1 if 2 * m % n == 0 else 2) for m, h_k in enumerate(blocks)) == len(block)
+    @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
+    def test_block_sizes_sum_to_the_sector_dimension(self, n, bc):
+        # Blocks m = 1..(N-1)/2 stand for block N - m as well.
+        order = group_order(n, bc)
+        for block, blocks in sector_blocks(n, bc):
+            assert len(blocks) == order // 2 + 1
+            assert sum(len(h_m) * (1 if 2 * m % order == 0 else 2) for m, h_m in enumerate(blocks)) == len(block)
 
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_blocks_are_hermitian(self, n):
-        for _, blocks in ring_sector_blocks(n):
-            for m, h_k in enumerate(blocks):
-                assert h_k.shape == (len(h_k), len(h_k))
-                if 2 * m % n == 0:
-                    assert np.isrealobj(h_k)
-                if len(h_k):
-                    assert np.max(np.abs(h_k - h_k.conj().T)) <= 1e-14
+    @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
+    def test_blocks_are_hermitian(self, n, bc):
+        order = group_order(n, bc)
+        for _, blocks in sector_blocks(n, bc):
+            for m, h_m in enumerate(blocks):
+                assert h_m.shape == (len(h_m), len(h_m))
+                # sector_spectra counts the spectrum of a complex block twice.
+                assert np.isrealobj(h_m) == (2 * m % order == 0)
+                if len(h_m):
+                    assert np.max(np.abs(h_m - h_m.conj().T)) <= 1e-14
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_opposite_momenta_are_complex_conjugates(self, n):
         # Only m <= n/2 is built; block n - m, formed here from the dense sector
         # block, must be the conjugate of block m, whose spectrum it shares.
         for n_down in range(n + 1):
-            for m, h_k in enumerate(hb.momentum_blocks(n, n_down)):
+            for m, h_k in enumerate(hb.symmetry_blocks(n, n_down, PERIODIC)):
                 mirror = momentum_block_from_sector(n, n_down, (n - m) % n)
                 assert mirror.shape == h_k.shape
                 if len(h_k):
                     assert np.max(np.abs(mirror - h_k.conj())) <= 1e-14
 
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_union_of_block_spectra_is_the_sector_spectrum(self, n):
-        for block, blocks in ring_sector_blocks(n):
+    @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
+    def test_union_of_block_spectra_is_the_sector_spectrum(self, n, bc):
+        order = group_order(n, bc)
+        for block, blocks in sector_blocks(n, bc):
             parts = []
-            for m, h_k in enumerate(blocks):
-                if len(h_k):
-                    values = np.linalg.eigvalsh(h_k)
-                    parts.extend([values] if 2 * m % n == 0 else [values, values])
+            for m, h_m in enumerate(blocks):
+                if len(h_m):
+                    values = np.linalg.eigvalsh(h_m)
+                    parts.extend([values] if 2 * m % order == 0 else [values, values])
             union = np.sort(np.concatenate(parts))
             assert np.max(np.abs(union - np.linalg.eigvalsh(block))) <= 1e-12
 
@@ -336,12 +354,23 @@ class TestMomentumBlocks:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_twelve_site_open_chain_solves_reflection_halves(self):
+        # Half filling splits into 472 + 452 reflection states; the whole
+        # 792 x 792 sector block and its eigvalsh peak at about 10 MB.
+        tracemalloc.start()
+        try:
+            hb.sector_spectra(12, OPEN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("n, m", [(4, 0), (6, 3), (8, 0), (10, 5), (12, 0)])
     def test_ground_state_momentum_is_pi_n_over_2(self, n, m):
         # k = 2 pi m / n = pi n / 2 (mod 2 pi)
         assert m == n * n // 4 % n
         energy = np.linalg.eigvalsh(hb.sector_hamiltonian(n, n // 2, PERIODIC))[0]
-        blocks = hb.momentum_blocks(n, n // 2)
+        blocks = hb.symmetry_blocks(n, n // 2, PERIODIC)
         holding = [j for j, h_k in enumerate(blocks) if len(h_k) and np.linalg.eigvalsh(h_k)[0] - energy <= 1e-10]
         assert holding == [m]
 
@@ -349,6 +378,6 @@ class TestMomentumBlocks:
         momenta = bethe.momenta_from_roots(bethe.solve_two_magnon(4).roots)
         total = math.remainder(sum(momenta), 2 * math.pi)
         assert abs(total) < 1e-12
-        blocks = hb.momentum_blocks(4, 2)
+        blocks = hb.symmetry_blocks(4, 2, PERIODIC)
         m = round(total / (2 * math.pi / 4)) % 4
         assert abs(np.linalg.eigvalsh(blocks[m])[0] - (-2.0)) < 1e-12

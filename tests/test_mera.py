@@ -266,7 +266,7 @@ class TestTrialState:
 
     def test_trivial_iso_stays_in_zero_magnetization_sector(self):
         rng = np.random.default_rng(38)
-        sector = set(sector_basis(4, 2).indices)
+        sector = set(sector_basis(4, 2).tolist())
         outside = [k for k in range(16) if k not in sector]
         for _ in range(20):
             raw = rng.normal(size=4)
