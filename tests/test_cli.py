@@ -102,6 +102,24 @@ ED_STDOUT_SHA256 = {
     (12, "periodic"): "acd856d9274b65c9988c012c1a54ea3c3cf251744423c569befdc0ecd0283f1f",
 }
 
+# sha256 of the payload section of each `optimize` report and of the stdout of
+# the other commands whose output is fixed: a change to how the family, the
+# pencil or the circuit is built must not move a written byte.
+PAYLOAD_SHA256 = {
+    "rotation": "e65cbd804098a81dd2840050426d8f7619462d41595d3d2c65f62bf5d3011bb9",
+    "rmatrix": "e4587f5114850ef4414415bdd5137c82d1ed4dd9631cf543d1bbc94101566394",
+}
+
+STDOUT_SHA256 = {
+    ("check",): "1701c8e4f93a2aa742c2fc2d05d53ba9100663d4f508856ea66738ca0a06104e",
+    ("wavelet",): "35fbd3898eef817dec4b70b795c19a1809fd8a428d7a7630be534e5ed3339eb9",
+    ("bethe",): "766b9b523fd4c75a0b14c60a980421d1d9b3610d397fd12f6f26d5b6105e2758",
+    ("bethe", "--magnons", "1"): "29ee1780c6335874a57719d592152908283ec70fa49dc697245c9b1817a6e16a",
+    ("sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "20001"): (
+        "d3bc4ec1a00168d4ee614acaddba15d14d13f427ac16fec79f355df953c2a482"
+    ),
+}
+
 
 class TestOptimize:
     def test_writes_report_and_is_deterministic(self, tmp_path):
@@ -125,6 +143,13 @@ class TestOptimize:
         payload = json.loads(out.read_text())["payload"]
         assert payload["nu_roots_derived"][0][1] == pytest.approx(2.0 * math.sqrt(3.0) - 4.0)
         assert payload["nu_paper_residual"] > 0.0
+
+    @pytest.mark.parametrize("entangler", sorted(PAYLOAD_SHA256))
+    def test_payload_bytes_are_pinned(self, tmp_path, monkeypatch, entangler):
+        monkeypatch.delenv("MERA_LAB_TOLERANCE", raising=False)
+        out = tmp_path / "report.json"
+        assert main(["optimize", "--entangler", entangler, "--out", str(out)]) == 0
+        assert hashlib.sha256(payload_section(out).encode()).hexdigest() == PAYLOAD_SHA256[entangler]
 
     def test_unsupported_sites(self):
         assert main(["optimize", "--sites", "6"]) == 2
@@ -465,6 +490,14 @@ class TestUsage:
         monkeypatch.setattr(report, "build_report", lambda **kwargs: heisenberg.ground_state(3, "periodic"))
         assert main(["optimize"]) == 1
         assert "error: ground state is 4-fold degenerate at E0 = -0.750000000000" in capsys.readouterr().err
+
+
+class TestPinnedStdout:
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
+    def test_stdout_bytes_are_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("MERA_LAB_TOLERANCE", raising=False)
+        assert main(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
 class TestImports:
