@@ -10,7 +10,8 @@ A tolerance that is not a positive finite number (flag or environment), a
 non-finite sweep bound and a sweep ``--steps`` outside 1..MAX_SWEEP_STEPS are
 usage errors.  Only these argument checks exit 2: any error raised while
 solving, a ``ValueError`` included, exits 1, as does a non-finite number in a
-report.
+report.  A sweep whose rows reach a level crossing (``CROSSING_GAP``) still
+exits 0; it names those rows in one warning line on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ MAX_SWEEP_STEPS = 1_000_000
 
 #: Sweep rows solved per batched call, which bounds the arrays a long sweep holds at once.
 SWEEP_BLOCK = 4096
+
+#: A sweep row whose 2x2 gap is below this sits at a level crossing of the
+#: projected problem, where r jumps between the two levels; such rows are flagged.
+CROSSING_GAP = 1e-9
 
 #: Float options whose negative values (``-1e-3``, ``-inf``) argparse reads as options.
 _SIGNED_FLOAT_OPTIONS = ("--theta-min", "--theta-max", "--tolerance")
@@ -140,10 +145,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep needs --theta-min <= --theta-max")
     h, _, ground = four_site_ring()
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    crossing = np.zeros(args.steps, dtype=bool)
     lines = ["theta,optimal_r,energy,fidelity,entropy"]
     for start in range(0, args.steps, SWEEP_BLOCK):
         block = thetas[start : start + SWEEP_BLOCK]
-        energies, ratios, states = mera.optimal_ratios(gates.entangler_rotations(block), h)
+        energies, ratios, states, gaps = mera.optimal_ratios(gates.entangler_rotations(block), h)
+        crossing[start : start + len(block)] = gaps < CROSSING_GAP
         columns = (block, ratios, energies, mera.fidelities(states, ground), mera.entanglement_entropies(states, 2))
         for row in zip(*(column.tolist() for column in columns)):
             lines.append(",".join(format(v, ".17g") for v in row))
@@ -153,6 +160,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep written to {args.out} ({args.steps} rows)")
     else:
         sys.stdout.write(text)
+    flagged = thetas[crossing].tolist()
+    if flagged:
+        first, last = (format(theta, ".17g") for theta in (flagged[0], flagged[-1]))
+        print(
+            f"warning: {len(flagged)} rows have a 2x2 gap below {CROSSING_GAP:g} (level crossing, r is ill-posed), "
+            f"theta from {first} to {last}",
+            file=sys.stderr,
+        )
     return 0
 
 

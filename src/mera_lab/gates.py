@@ -19,13 +19,15 @@ check suite reports the departure from unitarity instead of hiding it.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ShapeError
-from .heisenberg import MAX_SITES
+from .errors import DomainError, ShapeError
+from .heisenberg import _check_site_count
 
 #: Guard radius around the pole of the weight functions at nu = -2i.
 _POLE_GUARD = 1e-12
@@ -46,8 +48,8 @@ class EntanglerSpec:
             raise DomainError(f"unknown entangler family {self.family!r}")
         if self.family == ROTATION and complex(self.parameter).imag != 0.0:
             raise DomainError("rotation angle must be real")
-        if self.family == RMATRIX and abs(complex(self.parameter) + 2j) < _POLE_GUARD:
-            raise DomainError("spectral parameter sits on the pole at -2i")
+        if self.family == RMATRIX:
+            bc(self.parameter)
 
     @classmethod
     def rotation(cls, theta: float) -> "EntanglerSpec":
@@ -114,11 +116,21 @@ def swap() -> np.ndarray:
 
 
 def bc(nu: complex) -> BCFunctions:
-    """Weight functions b(nu) = 2i/(nu+2i) and c(nu) = nu/(nu+2i)."""
+    """Weight functions b(nu) = 2i/(nu+2i) and c(nu) = nu/(nu+2i).
+
+    A nu within ``_POLE_GUARD`` of the pole, or one for which a weight is not
+    finite (a non-finite nu, or a division that overflows, which needs |nu|
+    above 1e307), raises :class:`DomainError`.
+    """
     nu = complex(nu)
-    if abs(nu + 2j) < _POLE_GUARD:
+    denominator = nu + 2j
+    # math.hypot returns inf where abs() of the complex would raise OverflowError.
+    if math.hypot(denominator.real, denominator.imag) < _POLE_GUARD:
         raise DomainError("weight functions have a pole at nu = -2i")
-    return BCFunctions(b=2j / (nu + 2j), c=nu / (nu + 2j))
+    b, c = 2j / denominator, nu / denominator
+    if not (cmath.isfinite(b) and cmath.isfinite(c)):
+        raise DomainError(f"weight functions are not finite at nu = {nu!r}")
+    return BCFunctions(b=b, c=c)
 
 
 def rmatrix(nu: complex) -> np.ndarray:
@@ -143,10 +155,7 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
     gate = np.asarray(gate)
     if gate.shape != (4, 4):
         raise ShapeError(f"expected a 4x4 two-site gate, got {gate.shape}")
-    if n < 2:
-        raise ShapeError(f"register needs at least 2 sites, got {n}")
-    if n > MAX_SITES:
-        raise ResourceError(f"register of {n} sites exceeds the supported {MAX_SITES}")
+    _check_site_count(n)
     if not 1 <= site <= n - 1:
         raise ShapeError(f"site {site} out of range for {n} sites")
     left = np.eye(2 ** (site - 1), dtype=complex)
@@ -159,8 +168,7 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
 
 def swap_layer(n: int) -> np.ndarray:
     """Parallel swaps on pairs (1,2), (3,4), ...: kron of n/2 swap gates."""
-    if n % 2 != 0 or n < 2:
+    _check_site_count(n)
+    if n % 2 != 0:
         raise ShapeError(f"swap layer needs an even site count, got {n}")
-    if n > MAX_SITES:
-        raise ResourceError(f"register of {n} sites exceeds the supported {MAX_SITES}")
     return reduce(np.kron, [swap()] * (n // 2))

@@ -25,12 +25,13 @@ and reported by the check suite rather than hidden.
 
 At fixed gate, the best ratio of the family's two amplitudes is closed form:
 project H onto the family's two basis states and solve the 2x2 generalized
-eigenproblem.  :func:`optimal_ratios` does this for a whole stack of gates at
-once, with a numpy-only replica of LAPACK ``zhegvd`` (:func:`_pencil_eigh`),
-and gives each gate the same bits as a solve of that gate alone;
-:func:`optimal_ratio` is the stack of one.  The numeric angle search and the
-CLI sweep pass their angle grids through it in a few calls, and the package
-imports no scipy.
+eigenproblem.  For a gate that conserves Sz its overlap matrix is diagonal:
+the u state lives where s1 != s4 and the q state where s1 = s4.
+:func:`optimal_ratios` solves these pencils for a whole stack of gates at
+once (:func:`_pencil_eigh`), each with the same bits as a solve of that gate
+alone; :func:`optimal_ratio` is the stack of one.  The numeric angle search
+and the CLI sweep pass their angle grids through it in a few calls, and the
+package imports no scipy.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import gates
 from .errors import ContractError, DomainError, NumericError, ShapeError
-from .heisenberg import BoundaryCondition, four_site_ring
+from .heisenberg import four_site_ring
 
 #: Norm below which a constructed state counts as degenerate.
 _DEGENERATE_NORM = 1e-12
@@ -67,15 +68,9 @@ class IsometryParams:
     r11: float
 
     @classmethod
-    def trivial(
-        cls, l01: float, l10: float, r01: float, r10: float, l11: float = 0.0
-    ) -> "IsometryParams":
-        """Weakly entangled family: l00 = r00 = r11 = 0.
-
-        l11 defaults to 0 as well so the resulting states stay inside the
-        zero-magnetization sector.
-        """
-        return cls(0.0, l01, l10, l11, 0.0, r01, r10, 0.0)
+    def trivial(cls, l01: float, l10: float, r01: float, r10: float) -> "IsometryParams":
+        """Weakly entangled family l00 = l11 = r00 = r11 = 0, inside the zero-magnetization sector."""
+        return cls(0.0, l01, l10, 0.0, 0.0, r01, r10, 0.0)
 
     def left_vector(self) -> np.ndarray:
         return np.array([self.l00, self.l01, self.l10, self.l11], dtype=complex)
@@ -83,10 +78,10 @@ class IsometryParams:
     def right_vector(self) -> np.ndarray:
         return np.array([self.r00, self.r01, self.r10, self.r11], dtype=complex)
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         for name, vec in (("left", self.left_vector()), ("right", self.right_vector())):
             total = float(np.sum(np.abs(vec) ** 2))
-            if abs(total - 1.0) > tol:
+            if abs(total - 1.0) > 1e-12:
                 raise ContractError(f"{name} tensor is not normalized: sum of squares = {total!r}")
 
 
@@ -124,39 +119,30 @@ class NuFitResult:
     b_at_nu_quoted: complex
 
 
-def ir_state(iso: IsometryParams, tol: float = 1e-12) -> np.ndarray:
+def ir_state(iso: IsometryParams) -> np.ndarray:
     """Product IR state: Kronecker product of the two coarse tensors."""
-    iso.validate(tol)
+    iso.validate()
     return np.kron(iso.left_vector(), iso.right_vector())
 
 
-def circuit_matrix(gate: np.ndarray, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> np.ndarray:
+def circuit_matrix(gate: np.ndarray) -> np.ndarray:
     """The 16x16 circuit: the gate on pair (1, 4) times the gate on pair (2, 3).
 
     Each entry of the layered product (swap layer, middle gate) x 2 has at
     most one nonzero term, that same product of two gate entries, so this
-    form is bit-identical to it.  The open form puts the identity on (1, 4).
+    form is bit-identical to it.
     """
-    periodic = BoundaryCondition(bc) is BoundaryCondition.PERIODIC
-    outer = gate if periodic else np.eye(4, dtype=complex)
-    return np.einsum("adeh,bcfg->abcdefgh", outer.reshape(2, 2, 2, 2), gate.reshape(2, 2, 2, 2)).reshape(16, 16)
+    quarter = gate.reshape(2, 2, 2, 2)
+    return np.einsum("adeh,bcfg->abcdefgh", quarter, quarter).reshape(16, 16)
 
 
-def trial_state(
-    spec: gates.EntanglerSpec,
-    iso: IsometryParams,
-    bc: BoundaryCondition | str = BoundaryCondition.PERIODIC,
-    tol: float = 1e-12,
-) -> TrialState:
-    """Apply the circuit layers to the IR state of ``iso`` and normalize.
+def trial_state(spec: gates.EntanglerSpec, iso: IsometryParams) -> TrialState:
+    """Apply the four circuit layers to the IR state of ``iso`` and normalize.
 
-    The periodic form applies all four layers; the open form keeps only the
-    inner entangler (no wrap-around bond).  Renormalization only kicks in
-    for non-unitary gates (complex spectral parameter); ``norm_applied``
-    records whether it did.
+    Renormalization only kicks in for non-unitary gates (complex spectral
+    parameter); ``norm_applied`` records whether it did.
     """
-    omega = ir_state(iso, tol)
-    state = circuit_matrix(spec.matrix(), bc) @ omega
+    state = circuit_matrix(spec.matrix()) @ ir_state(iso)
     raw_norm = float(np.linalg.norm(state))
     if raw_norm < _DEGENERATE_NORM:
         raise DomainError("circuit annihilated the IR state (degenerate input)")
@@ -164,25 +150,12 @@ def trial_state(
     return TrialState(spec=spec, iso=iso, state=state / raw_norm, raw_norm=raw_norm, norm_applied=norm_applied)
 
 
-def _mirrored_unnormalized(circuit: np.ndarray, u: complex, q: complex) -> np.ndarray:
-    """Left half of the periodic circuit output, completed by its spin-flip image.
-
-    The inputs are the two free amplitudes of the weakly entangled IR family:
-    ``u`` on |0101> and ``q`` on |0110> (their flip partners are implied).
-    """
-    wl = np.zeros(8, dtype=complex)
-    wl[5] = u
-    wl[6] = q
-    omega = np.concatenate([wl, wl[::-1]])
-    left = (circuit @ omega)[:8]
-    return np.concatenate([left, left[::-1]])
-
-
 def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
-    """Normalized state of the mirrored family at ratio r = -R01/R10."""
+    """Normalized state of the mirrored family at ratio r = -R01/R10: u = R01 and q = R10."""
     r10 = 1.0 / np.hypot(1.0, r)
     r01 = -r * r10
-    psi = _mirrored_unnormalized(circuit_matrix(spec.matrix()), r01, r10)
+    basis = _mirrored_basis(spec.matrix()[None])[0]
+    psi = r01 * basis[0] + r10 * basis[1]
     norm = float(np.linalg.norm(psi))
     if norm < _DEGENERATE_NORM:
         raise DomainError("variational state degenerated to zero norm")
@@ -196,16 +169,21 @@ def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
 _OUTER_ENTRIES = (np.arange(2).reshape(1, 1, 1, 2), np.array([1, 2, 0, 3]).reshape(4, 1, 1, 1))
 _INNER_ENTRIES = (np.arange(4).reshape(1, 2, 2, 1), np.array([2, 1, 3, 0]).reshape(4, 1, 1, 1))
 
+#: Entries of a 4x4 gate between two-site states of different Sz (|00>, |01>, |10>, |11>).
+_SZ_CHANGING = np.array([0, 1, 1, 2])[:, None] != np.array([0, 1, 1, 2])[None, :]
+
 
 def _mirrored_basis(gate_stack: np.ndarray) -> np.ndarray:
     """The states of u = 1 and q = 1 in the mirrored family, for each gate of a stack.
 
-    Returns an array [z, 2, 16], equal bit for bit to
-    ``_mirrored_unnormalized(circuit_matrix(gate), 1, 0)`` and ``(.., 0, 1)``.
-    Only the circuit entries C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with
-    s1 = 0 and t one of the four IR columns are formed.  The complex products
-    are spelled out in real arithmetic, as ``einsum`` forms them, because
-    numpy's complex multiply may fuse multiply-adds.
+    Each is the left half (site 1 up) of the circuit output for the IR state
+    u (|0101> + |1010>) + q (|0110> + |1001>), completed by its spin-flip
+    image.  Returns an array [z, 2, 16], equal bit for bit to that product
+    with :func:`circuit_matrix`.  Only the circuit entries
+    C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with s1 = 0 and t one of the
+    four IR columns are formed.  The complex products are spelled out in
+    real arithmetic, as ``einsum`` forms them, because numpy's complex
+    multiply may fuse multiply-adds.
     """
     z = gate_stack.shape[0]
     outer = gate_stack[:, _OUTER_ENTRIES[0], _OUTER_ENTRIES[1]]  # z, column, 1, 1, s4
@@ -222,79 +200,63 @@ def _mirrored_basis(gate_stack: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _pencil_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a stack of 2x2 Hermitian pencils a x = w b x, b positive definite.
+def _pencil_eigh(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a stack of 2x2 Hermitian pencils a x = w diag(d) x, d > 0.
 
+    ``d`` [z, 2] is the diagonal of each overlap matrix: the two basis states
+    of the mirrored family have disjoint support, so their overlap is 0.
     Returns (w[z, 2] ascending, x[z, 2, 2] with eigenvectors as columns,
-    normalized so that x^H b x = I).  It repeats the steps of LAPACK
-    ``zhegvd`` (itype 1, lower), which is what ``scipy.linalg.eigh(a, b)``
-    runs, elementwise over the stack: the Cholesky factor b = L L^H as in
-    ``zpotf2``, with the off-diagonal scaled by the reciprocal of the pivot as
-    OpenBLAS does; the reduction C = L^-1 a L^-H as in ``zhegs2``; one stacked
-    ``np.linalg.eigh`` of C, which runs the same ``zheevd`` on each matrix;
-    and the back-transform x = L^-H y of ``ztrsm``, again through
-    reciprocals.  LAPACK is distributed under the modified BSD licence
-    (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999).
-
-    For a diagonal b, which is what every pencil of the mirrored family has,
-    the results equal ``scipy.linalg.eigh(a, b)`` bit for bit.  For other b,
-    OpenBLAS fuses multiply-adds in the ``zher2`` step of ``zhegs2``, so the
-    last bits can differ.  A non-finite entry, a b that is not positive
-    definite, or an eigensolver failure raises :class:`NumericError`.
+    normalized so that x^H diag(d) x = I).  These are the steps of LAPACK
+    ``zhegvd`` (itype 1, lower) for a diagonal overlap, elementwise over the
+    stack: the Cholesky factor L = diag(sqrt(d)), the reduction C = L^-1 a L^-1
+    through reciprocals, one stacked ``np.linalg.eigh`` of C (the same
+    ``zheevd`` on each matrix) and the back-transform x = L^-1 y.  The
+    results equal ``scipy.linalg.eigh(a, diag(d))`` bit for bit, the signs of
+    zeros included (LAPACK: modified BSD licence; Anderson et al., LAPACK
+    Users' Guide, 3rd ed., SIAM 1999).  A non-finite entry, a d that is not
+    positive, or an eigensolver failure raises :class:`NumericError`.
     """
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (np.isfinite(a).all() and np.isfinite(d).all()):
         raise NumericError("ratio optimization failed: the 2x2 pencil has non-finite entries")
-    not_definite = "ratio optimization failed: the overlap matrix is not positive definite"
-    b11 = b[:, 0, 0].real
-    if not (b11 > 0.0).all():
-        raise NumericError(not_definite)
-    l11 = np.sqrt(b11)
-    l21 = b[:, 1, 0] * (1.0 / l11)
-    d22 = b[:, 1, 1].real - (l21.real * l21.real + l21.imag * l21.imag)
-    if not (d22 > 0.0).all():
-        raise NumericError(not_definite)
-    l22 = np.sqrt(d22)
-
-    c11 = a[:, 0, 0].real / (l11 * l11)
-    half = -0.5 * c11
-    c21 = a[:, 1, 0] * (1.0 / l11) + half * l21
-    # zher2 adds -(c21 conj(l21)) - (l21 conj(c21)) to the real diagonal.
-    c22 = a[:, 1, 1].real - (c21.real * l21.real + c21.imag * l21.imag) - (l21.real * c21.real + l21.imag * c21.imag)
-    c21 = (c21 + half * l21) * (1.0 / l22)
-    c22 = c22 / (l22 * l22)
+    if not (d > 0.0).all():
+        raise NumericError("ratio optimization failed: the overlap matrix is not positive definite")
+    cholesky = np.sqrt(d)
+    inverse = 1.0 / cholesky
     c = np.empty(a.shape, dtype=complex)
-    c[:, 0, 0] = c11
-    c[:, 1, 1] = c22
-    c[:, 1, 0] = c21
-    c[:, 0, 1] = np.conj(c21)
+    c[:, 0, 0] = a[:, 0, 0].real / (cholesky[:, 0] * cholesky[:, 0])
+    c[:, 1, 1] = a[:, 1, 1].real / (cholesky[:, 1] * cholesky[:, 1])
+    c[:, 1, 0] = a[:, 1, 0] * inverse[:, 0] * inverse[:, 1]
+    c[:, 0, 1] = np.conj(c[:, 1, 0])
     try:
         values, y = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"ratio optimization failed: {exc}") from exc
-
-    x = np.empty_like(y)
-    x[:, 1] = y[:, 1] * (1.0 / l22)[:, None]
-    x[:, 0] = (y[:, 0] - np.conj(l21)[:, None] * x[:, 1]) * (1.0 / l11)[:, None]
-    return values, x
+    return values, y * inverse[:, :, None]
 
 
-def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form energy minimum over the two-amplitude family, for each gate of a stack.
 
     For each gate of ``gate_stack`` [z, 4, 4] this projects ``h`` onto the
     span of the two basis states of the mirrored family, solves the 2x2
     generalized eigenproblem with :func:`_pencil_eigh`, and returns the
-    lowest energies [z], the ratios r = -u/q [z] and the normalized states
-    [z, 16].  Each row equals, bit for bit, what the same steps give for
-    that gate alone: the projections and the state norm use ``np.vecdot``,
-    which runs the same BLAS dot as ``np.vdot`` and ``np.linalg.norm``.
-    A vanishing q or a ratio that is not real raises :class:`NumericError`.
+    lowest energies [z], the ratios r = -u/q [z], the normalized states
+    [z, 16] and the gaps [z] between the two levels (near 0 at a level
+    crossing, where r jumps).  Each row equals, bit for bit, what the same
+    steps give for that gate alone: the projections and the state norm use
+    ``np.vecdot``, the same BLAS dot as ``np.vdot`` and ``np.linalg.norm``.
+    A non-finite gate, a vanishing q or a ratio that is not real raises
+    :class:`NumericError`; a finite gate that does not conserve Sz, whose
+    overlap matrix need not be diagonal, raises :class:`ContractError`.
     """
+    if not np.isfinite(gate_stack).all():
+        raise NumericError("ratio optimization failed: the gate has non-finite entries")
+    if (gate_stack[:, _SZ_CHANGING] != 0.0).any():
+        raise ContractError("the mirrored family needs a gate that conserves Sz")
     basis = _mirrored_basis(gate_stack)
     h_basis = (h @ basis[..., None])[..., 0]
     hm = np.vecdot(basis[:, :, None, :], h_basis[:, None, :, :])
-    sm = np.vecdot(basis[:, :, None, :], basis[:, None, :, :])
-    values, vectors = _pencil_eigh(hm, sm)
+    values, vectors = _pencil_eigh(hm, np.vecdot(basis, basis).real)
     u, q = vectors[:, 0, 0], vectors[:, 1, 0]
     if (np.abs(q) < 1e-300).any():
         raise NumericError("optimal ratio diverged (q amplitude vanished)")
@@ -303,30 +265,25 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
         raise NumericError(f"optimal ratio is not real: {ratios[np.argmax(np.abs(ratios.imag))]!r}")
     states = u[:, None] * basis[:, 0] + q[:, None] * basis[:, 1]
     norms = np.sqrt(np.vecdot(states.real, states.real) + np.vecdot(states.imag, states.imag))
-    return values[:, 0], ratios.real, states / norms[:, None]
+    return values[:, 0], ratios.real, states / norms[:, None], values[:, 1] - values[:, 0]
 
 
 def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
     """:func:`optimal_ratios` for one gate: (energy, r, normalized state)."""
-    energies, ratios, states = optimal_ratios(gate[None], h)
+    energies, ratios, states, _ = optimal_ratios(gate[None], h)
     return float(energies[0]), float(ratios[0]), states[0]
 
 
-def solve_theta_analytic(target: tuple[float, float, float] = (1.0, -2.0, 1.0)) -> ThetaSolution:
-    """Closed-form entangler angle matching the target amplitude ratios.
+def solve_theta_analytic() -> ThetaSolution:
+    """Closed-form entangler angle matching the exact amplitude ratios.
 
     The mirrored family carries amplitudes proportional to
     (r sin(-2 theta), -r cos(-2 theta), 1) on the states |0011>, |0101>,
-    |0110>; matching them to the exact-diagonalization ratios A : B : C
-    determines theta and r algebraically.  For the default target 1 : -2 : 1
-    this gives sin(-2 theta) = 1/sqrt(5), cos(-2 theta) = 2/sqrt(5),
-    r = sqrt(5), with theta in (-pi/4, 0).
+    |0110>; matching them to the exact-diagonalization ratios 1 : -2 : 1
+    gives sin(-2 theta) = 1/sqrt(5), cos(-2 theta) = 2/sqrt(5), r = sqrt(5),
+    with theta in (-pi/4, 0).
     """
-    a, b, c = (float(x) for x in target)
-    if c == 0.0:
-        raise DomainError("target ratio needs a nonzero third component")
-    rho1 = a / c
-    rho2 = b / c
+    rho1, rho2 = 1.0, -2.0
     r = float(np.hypot(rho1, rho2))
     sin_m2 = rho1 / r
     cos_m2 = -rho2 / r
@@ -344,10 +301,9 @@ def solve_theta_analytic(target: tuple[float, float, float] = (1.0, -2.0, 1.0)) 
     )
 
 
-def solve_theta_numeric(
-    n: int = 4, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC
-) -> ThetaSolution:
-    """Derivative-free cross-check of the closed-form optimum.
+@functools.cache
+def solve_theta_numeric() -> ThetaSolution:
+    """Derivative-free cross-check of the closed-form optimum, computed once per process.
 
     Minimizes the energy of the mirrored family over the principal period
     theta in (-pi/4, pi/4), with the ratio r eliminated per angle through the
@@ -361,13 +317,6 @@ def solve_theta_numeric(
     period pi/2: the gate at theta + pi/2 is the gate at theta after a signed
     swap, which maps the flip-symmetric IR family onto itself (u -> -u).
     """
-    if n != 4 or BoundaryCondition(bc) is not BoundaryCondition.PERIODIC:
-        raise DomainError("numeric optimization is supported for the periodic 4-site ring only")
-    return _solve_theta_numeric_cached()
-
-
-@functools.cache
-def _solve_theta_numeric_cached() -> ThetaSolution:
     h, _, ground = four_site_ring()
 
     def energy_at(theta: float) -> float:

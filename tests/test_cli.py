@@ -367,6 +367,27 @@ class TestSweep:
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
 
+    def test_level_crossing_rows_are_flagged_on_stderr(self, capsys, monkeypatch):
+        # Every row is within 2e-12 of theta = pi/4, where the two levels of the
+        # 2x2 problem cross and r jumps from 0.414 to -2.414 between rows 3 and 4.
+        argv = ["sweep", "--theta-min", "0.785398163396", "--theta-max", "0.785398163399", "--steps", "7"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: 7 rows have a 2x2 gap below {cli.CROSSING_GAP:g} (level crossing, r is ill-posed), "
+            "theta from 0.78539816339599999 to 0.78539816339900004\n"
+        )
+        ratios = [float(line.split(",")[1]) for line in captured.out.splitlines()[1:]]
+        assert ratios[2] > 0.4 and ratios[3] < -2.4
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
+        assert main(argv) == 0
+        assert capsys.readouterr() == captured
+
+    def test_sweep_without_crossing_writes_nothing_to_stderr(self, capsys):
+        # The row nearest pi/4 is 1.8e-6 away, where the gap is about 1e-5.
+        assert main(["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "20001"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_long_sweep_memory_stays_bounded(self, tmp_path):
         # Rows are solved SWEEP_BLOCK at a time; one batch of all 100 001 rows
         # would hold over 150 MB of basis, product and state arrays.

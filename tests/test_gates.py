@@ -1,6 +1,9 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mera_lab import gates
@@ -126,15 +129,28 @@ class TestWeights:
             w = gates.bc(nu)
             assert abs(w.b + w.c - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("nu", [8.98846567431158e307 + 8.98846567431158e307j, 1.7e308 + 1.7e308j])
+    def test_overflowing_parameter_rejected(self, nu):
+        # The first overflows in the division (c was nan), the second already
+        # in |nu + 2i| (abs raised OverflowError).
+        with pytest.raises(DomainError, match="not finite"):
+            gates.bc(nu)
+        with pytest.raises(DomainError, match="not finite"):
+            gates.EntanglerSpec.rmatrix(nu)
+
     @settings(deadline=None)
-    @given(st.complex_numbers(max_magnitude=1e307, allow_nan=False, allow_infinity=False))
+    @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
     def test_sum_identity_outside_the_pole_guard(self, nu):
         # b and c are each of size (2 + |nu|) / |nu + 2i|, so rounding leaves
         # b + c - 1 of that size times the unit roundoff: 1e-14 away from the
-        # pole, 3e-5 at |nu + 2i| = 1e-11. Above |nu| of about 1.3e308 the
-        # division overflows to nan.
-        assume(abs(nu + 2j) >= gates._POLE_GUARD)
-        w = gates.bc(nu)
+        # pole, 3e-5 at |nu + 2i| = 1e-11. Past |nu| of 1e307 a division may
+        # overflow, and bc refuses that nu rather than return a nan weight.
+        try:
+            w = gates.bc(nu)
+        except DomainError:
+            assert math.hypot(nu.real, nu.imag + 2.0) < gates._POLE_GUARD or math.hypot(nu.real, nu.imag) > 1e307
+            return
+        assert cmath.isfinite(w.b) and cmath.isfinite(w.c)
         assert abs(w.b + w.c - 1.0) < 1e-14 * (2.0 + abs(nu)) / abs(nu + 2j)
 
 
@@ -214,6 +230,10 @@ class TestEmbed:
     def test_oversize_register(self):
         with pytest.raises(ResourceError):
             gates.embed(I4, 1, 13)
+        with pytest.raises(ResourceError):
+            gates.embed(I4, 1, 1)
+        with pytest.raises(ResourceError):
+            gates.swap_layer(14)
 
     def test_disjoint_supports_commute(self):
         gate = gates.entangler_rotation(0.9)
