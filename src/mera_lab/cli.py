@@ -160,11 +160,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep written to {args.out} ({args.steps} rows)")
     else:
         sys.stdout.write(text)
-    flagged = thetas[crossing].tolist()
-    if flagged:
-        first, last = (format(theta, ".17g") for theta in (flagged[0], flagged[-1]))
+    flagged = thetas[crossing]
+    if flagged.size:
+        first, last = (format(theta, ".17g") for theta in flagged[[0, -1]])
         print(
-            f"warning: {len(flagged)} rows have a 2x2 gap below {CROSSING_GAP:g} (level crossing, r is ill-posed), "
+            f"warning: {flagged.size} rows have a 2x2 gap below {CROSSING_GAP:g} (level crossing, r is ill-posed), "
             f"theta from {first} to {last}",
             file=sys.stderr,
         )
