@@ -112,6 +112,7 @@ PAYLOAD_SHA256 = {
 
 STDOUT_SHA256 = {
     ("check",): "1701c8e4f93a2aa742c2fc2d05d53ba9100663d4f508856ea66738ca0a06104e",
+    ("check", "--tolerance", "1e-3"): "e0239b94ed1943ebf18b271ef24ed2296d2cc40a732e852e149450903dc0fb7d",
     ("wavelet",): "35fbd3898eef817dec4b70b795c19a1809fd8a428d7a7630be534e5ed3339eb9",
     ("bethe",): "766b9b523fd4c75a0b14c60a980421d1d9b3610d397fd12f6f26d5b6105e2758",
     ("bethe", "--magnons", "1"): "29ee1780c6335874a57719d592152908283ec70fa49dc697245c9b1817a6e16a",
