@@ -10,11 +10,12 @@ deliberately reported without being asserted, such as the commutator of
 entanglers that share a site and the fidelity gap of the raw (unmirrored)
 circuit at the optimal angle.
 
-The commutators of entanglers on disjoint pairs (sites i, i+1 and j, j+1
-with j >= i + 2, on 4, 6 and 8 sites) never multiply two 2^n x 2^n
-matrices.  A B is formed by applying the 4x4 gate to the row bits of sites
-(i, i+1) of the dense B = embed(gate, j, n), and B A likewise from the dense
-A, so at most three 2^n x 2^n arrays are alive at once.  Because the
+Every commutator is formed by contraction: a product A X with A = embed(gate,
+i, n) on the left applies the 4x4 gate to the row bits of sites (i, i+1) of X
+(``_gate_times``) and never multiplies by the dense A.  For entanglers on
+disjoint pairs (sites i, i+1 and j, j+1 with j >= i + 2, on 4, 6 and 8
+sites) A B is formed from the dense B = embed(gate, j, n) and B A from the
+dense A, so at most three 2^n x 2^n arrays are alive at once.  Because the
 supports are disjoint, each entry of either product has exactly one nonzero
 term, the same product of two gate entries in both orders.  The contracted
 products therefore equal the dense ``a @ b`` and ``b @ a`` exactly, and the
@@ -41,10 +42,6 @@ class CheckResult:
     tolerance: float | None
 
 
-def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a @ b - b @ a))
-
-
 def _gate_times(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
     """``embed(gate, site, n) @ matrix``, formed by applying the 4x4 gate to the row bits of (site, site+1)."""
     return (gate @ matrix.reshape(2 ** (site - 1), 4, -1)).reshape(matrix.shape)
@@ -55,6 +52,11 @@ def _disjoint_commutator_norm(gate: np.ndarray, a: np.ndarray, i: int, j: int, n
     commutator = _gate_times(gate, i, gates.embed(gate, j, n))
     commutator -= _gate_times(gate, j, a)
     return float(np.linalg.norm(commutator))
+
+
+def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
+    """max |U U^H - I| of each gate U of a stack [m, 4, 4]."""
+    return np.max(np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(4)), axis=(1, 2))
 
 
 def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -75,18 +77,15 @@ def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list
 
     thetas = rng.uniform(-np.pi, np.pi, size=100)
 
-    worst = max(
-        float(np.max(np.abs(gates.entangler_rotation(t) @ gates.entangler_rotation(t).conj().T - np.eye(4))))
-        for t in thetas
-    )
-    asserted("rotation_unitarity", worst, 1e-14)
+    rotations = gates.entangler_rotations(thetas)
+    asserted("rotation_unitarity", float(np.max(_unitarity_defects(rotations))), 1e-14)
 
     swaps = gates.swap_layer(4)
     worst = 0.0
-    for t in thetas:
-        inner = gates.embed(gates.entangler_rotation(t), 2, 4)
+    for gate in rotations:
+        inner = gates.embed(gate, 2, 4)
         outer = swaps @ inner @ swaps
-        worst = max(worst, _commutator_norm(inner, outer))
+        worst = max(worst, float(np.linalg.norm(_gate_times(gate, 2, outer) - outer @ inner)))
     asserted("swap_conjugated_entangler_commutes", worst, 1e-13)
 
     worst = 0.0
@@ -99,7 +98,8 @@ def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list
     asserted("disjoint_entangler_commutation", worst, 1e-13)
 
     gate = gates.entangler_rotation(0.4)
-    info("adjacent_entangler_commutator_norm", _commutator_norm(gates.embed(gate, 1, 4), gates.embed(gate, 2, 4)))
+    commutator = _gate_times(gate, 1, gates.embed(gate, 2, 4)) - _gate_times(gate, 2, gates.embed(gate, 1, 4))
+    info("adjacent_entangler_commutator_norm", float(np.linalg.norm(commutator)))
 
     raw = rng.normal(size=(50, 8))
     worst = 0.0
@@ -116,22 +116,16 @@ def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list
     asserted("isometry_normalization", worst, 1e-12)
 
     nus = rng.normal(size=100) + 1j * rng.normal(size=100)
-    worst = max(abs(gates.bc(nu).b + gates.bc(nu).c - 1.0) for nu in nus)
+    worst = max(abs(w.b + w.c - 1.0) for w in map(gates.bc, nus))
     asserted("weight_sum_identity", worst, 1e-14)
 
     lams = rng.uniform(-20.0, 20.0, size=100)
-    worst = max(
-        float(np.max(np.abs(gates.rmatrix(lam) @ gates.rmatrix(lam).conj().T - np.eye(4))))
-        for lam in lams
-    )
-    asserted("rmatrix_unitary_real_parameter", worst, 1e-13)
+    defects = _unitarity_defects(np.stack([gates.rmatrix(lam) for lam in lams]))
+    asserted("rmatrix_unitary_real_parameter", float(np.max(defects)), 1e-13)
 
     fit = mera.solve_nu_fit()
-    deviation = min(
-        float(np.max(np.abs(gates.rmatrix(nu) @ gates.rmatrix(nu).conj().T - np.eye(4))))
-        for nu in fit.roots
-    )
-    detected("rmatrix_nonunitary_at_fit_roots", deviation, 1e-6)
+    defects = _unitarity_defects(np.stack([gates.rmatrix(nu) for nu in fit.roots]))
+    detected("rmatrix_nonunitary_at_fit_roots", float(np.min(defects)), 1e-6)
 
     analytic = mera.solve_theta_analytic()
     numeric = mera.solve_theta_numeric()

@@ -8,10 +8,12 @@ Tolerance precedence for `check`: --tolerance flag, then the
 MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
 A tolerance that is not a positive finite number (flag or environment), a
 non-finite sweep bound and a sweep ``--steps`` outside 1..MAX_SWEEP_STEPS are
-usage errors.  Only these argument checks exit 2: any error raised while
-solving, a ``ValueError`` included, exits 1, as does a non-finite number in a
-report.  A sweep whose rows reach a level crossing (``CROSSING_GAP``) still
-exits 0; it names those rows in one warning line on stderr.
+usage errors, as is an unsupported size (``ResourceError``, such as ``ed
+--sites`` outside heisenberg's 2..MAX_SITES).  Only these exit 2: any other
+error raised while solving, a ``ValueError`` included, exits 1, as does a
+non-finite number in a report.  A sweep whose rows reach a level crossing
+(``CROSSING_GAP``) still exits 0; it names those rows in one warning line on
+stderr.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import sys
 import numpy as np
 
 from . import bethe, checks, gates, mera, report, wavelet
-from .errors import MeraLabError
-from .heisenberg import MAX_SITES, BoundaryCondition, four_site_ring, sector_hamiltonian, sector_spectra
+from .errors import MeraLabError, ResourceError
+from .heisenberg import BoundaryCondition, four_site_ring, sector_hamiltonian, sector_spectra
 
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
@@ -89,8 +91,6 @@ def _fixed6(value: float, sign: str = "") -> str:
 
 
 def cmd_ed(args: argparse.Namespace) -> int:
-    if not 2 <= args.sites <= MAX_SITES:
-        raise UsageError(f"ed supports --sites in 2..{MAX_SITES}")
     n = args.sites
     bc = BoundaryCondition(args.bc)
     spectra = sector_spectra(n, bc)
@@ -124,7 +124,7 @@ def cmd_bethe(args: argparse.Namespace) -> int:
         print(f"residual norm: {solution.residual_norm:.3e}")
         print(f"energy from roots: {energy:.12f}   exact ground energy: {energy_ed:.12f}")
     else:
-        values = np.linalg.eigvalsh(sector_hamiltonian(args.sites, 1, BoundaryCondition.PERIODIC))
+        values = sector_spectra(args.sites, BoundaryCondition.PERIODIC)[1]
         print("one-magnon states (finite rapidities):")
         print("  lambda        p            E")
         for lam in bethe.one_magnon_roots(args.sites):
@@ -282,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except UsageError as exc:
+    except (UsageError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MeraLabError, ValueError) as exc:

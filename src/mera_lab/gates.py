@@ -46,8 +46,9 @@ class EntanglerSpec:
     def __post_init__(self) -> None:
         if self.family not in (ROTATION, RMATRIX):
             raise DomainError(f"unknown entangler family {self.family!r}")
-        if self.family == ROTATION and complex(self.parameter).imag != 0.0:
-            raise DomainError("rotation angle must be real")
+        angle = complex(self.parameter)
+        if self.family == ROTATION and not (angle.imag == 0.0 and math.isfinite(angle.real)):
+            raise DomainError(f"rotation angle must be real and finite, got {self.parameter!r}")
         if self.family == RMATRIX:
             bc(self.parameter)
 

@@ -7,13 +7,15 @@ The matrix is real symmetric in the computational basis.
 
 H conserves total Sz, so it is block diagonal in the number of down spins.
 One term emitter, ``_hamiltonian_terms``, lists the nonzeros of H on the
-columns of an ascending list of states: the diagonal and, per bond, the
-exchanged image of every anti-aligned state. Dense blocks scatter the images
-back into the list: ``hamiltonian`` on all 2^n states, ``sector_hamiltonian``
-on one fixed-magnetization sector (at most C(12, 6) = 924 states). The ``ed``
-command works one Sz sector at a time and never forms the 2^n matrix;
-``ground_state`` stays dense because its callers need the full state vector,
-and it refuses a degenerate ground state, whose vector would be arbitrary.
+columns of an ascending list of states as flat arrays: the diagonal, and one
+(source, image) pair per bond and anti-aligned state, the image being the
+state with the bond's two spins exchanged. Dense blocks scatter the pairs
+back into the list with one ``np.add.at``: ``hamiltonian`` on all 2^n
+states, ``sector_hamiltonian`` on one fixed-magnetization sector (at most
+C(12, 6) = 924 states). The ``ed`` command works one Sz sector at a time and
+never forms the 2^n matrix; ``ground_state`` stays dense because its callers
+need the full state vector, and it refuses a degenerate ground state, whose
+vector would be arbitrary.
 The periodic four-site ring, which every circuit path uses, is built and
 diagonalized once per process by ``four_site_ring``.
 
@@ -59,48 +61,43 @@ def _check_site_count(n: int) -> None:
         raise ResourceError(f"site count {n} outside the supported range 2..{MAX_SITES}")
 
 
-def _bonds(n: int, bc: BoundaryCondition | str) -> list[tuple[int, int]]:
-    _check_site_count(n)
-    bonds = [(i, i + 1) for i in range(n - 1)]
-    if BoundaryCondition(bc) is BoundaryCondition.PERIODIC:
-        bonds.append((n - 1, 0))
-    return bonds
-
-
 def _hamiltonian_terms(
-    n: int, states: np.ndarray, bonds: list[tuple[int, int]]
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Nonzeros of H on the columns ``states`` (ascending): the diagonal and the exchanges.
+    n: int, states: np.ndarray, bc: BoundaryCondition | str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros of H on the columns ``states`` (ascending): (diagonal, sources, images).
 
-    Per bond, the exchange part is the positions of the anti-aligned states in
-    ``states`` and the states their two spins exchange into; each image has
-    the element 1/2 in its source's column.
+    The bonds are (i, i + 1), and (n - 1, 0) on the ring.  There is one
+    exchange term per bond and anti-aligned state: ``sources`` holds the
+    state's position in ``states`` and ``images`` the state its two spins
+    exchange into; each image has the element 1/2 in its source's column.
     """
+    periodic = BoundaryCondition(bc) is BoundaryCondition.PERIODIC
     diagonal = np.zeros(len(states))
-    exchanges = []
-    for i, j in bonds:
+    sources, images = [], []
+    for i in range(n if periodic else n - 1):
+        j = (i + 1) % n
         bi = (states >> (n - 1 - i)) & 1
         bj = (states >> (n - 1 - j)) & 1
         aligned = bi == bj
         diagonal += np.where(aligned, 0.25, -0.25)
-        sources = np.flatnonzero(~aligned)
-        exchanges.append((sources, states[sources] ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))))
-    return diagonal, exchanges
+        anti = np.flatnonzero(~aligned)
+        sources.append(anti)
+        images.append(states[anti] ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))))
+    return diagonal, np.concatenate(sources), np.concatenate(images)
 
 
-def _build_hamiltonian(n: int, states: np.ndarray, bonds: list[tuple[int, int]]) -> np.ndarray:
+def _build_hamiltonian(n: int, states: np.ndarray, bc: BoundaryCondition | str) -> np.ndarray:
     """H on the span of ``states``, which must be ascending and closed under exchange."""
-    diagonal, exchanges = _hamiltonian_terms(n, states, bonds)
+    diagonal, sources, images = _hamiltonian_terms(n, states, bc)
     h = np.diag(diagonal)
-    for sources, images in exchanges:
-        h[np.searchsorted(states, images), sources] += 0.5
+    np.add.at(h, (np.searchsorted(states, images), sources), 0.5)
     return h
 
 
 def hamiltonian(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> np.ndarray:
     """Dense 2^n x 2^n Heisenberg Hamiltonian; real symmetric."""
-    bonds = _bonds(n, bc)
-    return _build_hamiltonian(n, np.arange(1 << n), bonds)
+    _check_site_count(n)
+    return _build_hamiltonian(n, np.arange(1 << n), bc)
 
 
 def sector_basis(n: int, n_down: int) -> np.ndarray:
@@ -115,7 +112,7 @@ def sector_hamiltonian(
     n: int, n_down: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC
 ) -> np.ndarray:
     """Block of H with ``n_down`` down spins, in ``sector_basis`` order; real symmetric."""
-    return _build_hamiltonian(n, sector_basis(n, n_down), _bonds(n, bc))
+    return _build_hamiltonian(n, sector_basis(n, n_down), bc)
 
 
 def _symmetry(n: int, bc: BoundaryCondition | str) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
@@ -165,15 +162,15 @@ def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np
     assembled real; every other block is complex.
     """
     order, _ = _symmetry(n, bc)
-    bonds = _bonds(n, bc)
     states = sector_basis(n, n_down)
-    representative, _, period = _orbits(n, states, bc)
+    representative, shift, period = _orbits(n, states, bc)
     is_representative = representative == states
     representatives, periods = states[is_representative], period[is_representative]
-    diagonal, exchanges = _hamiltonian_terms(n, representatives, bonds)
-    sources, images = (np.concatenate(parts) for parts in zip(*exchanges))
-    image_representatives, shifts, _ = _orbits(n, images, bc)
-    targets = np.searchsorted(representatives, image_representatives)
+    diagonal, sources, images = _hamiltonian_terms(n, representatives, bc)
+    # Every image lies in the sector, so its orbit is read from the sector's table.
+    at = np.searchsorted(states, images)
+    shifts = shift[at]
+    targets = np.searchsorted(representatives, representative[at])
     weights = 0.5 * np.sqrt(periods[sources] / periods[targets])
     blocks = []
     for m in range(order // 2 + 1):
@@ -197,6 +194,7 @@ def sector_spectra(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIO
     complex block m also stands for its conjugate block N - m, whose
     spectrum is the same.
     """
+    _check_site_count(n)
     solved = []
     for n_down in range(n // 2 + 1):
         parts = []

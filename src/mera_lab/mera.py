@@ -81,7 +81,7 @@ class IsometryParams:
     def validate(self) -> None:
         for name, vec in (("left", self.left_vector()), ("right", self.right_vector())):
             total = float(np.sum(np.abs(vec) ** 2))
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 raise ContractError(f"{name} tensor is not normalized: sum of squares = {total!r}")
 
 
@@ -144,8 +144,8 @@ def trial_state(spec: gates.EntanglerSpec, iso: IsometryParams) -> TrialState:
     """
     state = circuit_matrix(spec.matrix()) @ ir_state(iso)
     raw_norm = float(np.linalg.norm(state))
-    if raw_norm < _DEGENERATE_NORM:
-        raise DomainError("circuit annihilated the IR state (degenerate input)")
+    if not _DEGENERATE_NORM <= raw_norm < math.inf:
+        raise DomainError(f"circuit output has norm {raw_norm!r} (degenerate or non-finite input)")
     norm_applied = abs(raw_norm - 1.0) > 1e-13
     return TrialState(spec=spec, iso=iso, state=state / raw_norm, raw_norm=raw_norm, norm_applied=norm_applied)
 
@@ -157,8 +157,8 @@ def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
     basis = _mirrored_basis(spec.matrix()[None])[0]
     psi = r01 * basis[0] + r10 * basis[1]
     norm = float(np.linalg.norm(psi))
-    if norm < _DEGENERATE_NORM:
-        raise DomainError("variational state degenerated to zero norm")
+    if not _DEGENERATE_NORM <= norm < math.inf:
+        raise DomainError(f"variational state has norm {norm!r} (degenerate or non-finite input)")
     return psi / norm
 
 

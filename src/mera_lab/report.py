@@ -100,22 +100,10 @@ def build_report(
     )
 
 
-def _jsonable(value: Any) -> Any:
-    """Convert report values to JSON-compatible structures (complex -> [re, im])."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.generic):
-        return _jsonable(value.item())
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _render(value: Any) -> str:
+    """Canonical JSON text of a report value; numpy values render as Python ones, complex as [re, im]."""
+    if isinstance(value, np.generic):
+        return _render(value.item())
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -126,13 +114,17 @@ def _render(value: Any) -> str:
         if not math.isfinite(value):
             raise NumericError(f"cannot serialize non-finite float {value!r}")
         return format(value, ".17g")
+    if isinstance(value, complex):
+        return _render([value.real, value.imag])
     if isinstance(value, str):
         out = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
     if isinstance(value, dict):
-        items = sorted(value.items())
+        items = sorted(value.items(), key=lambda item: str(item[0]))
         body = ",".join(f"{_render(str(k))}:{_render(v)}" for k, v in items)
         return "{" + body + "}"
+    if isinstance(value, np.ndarray):
+        return _render(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -140,7 +132,7 @@ def _render(value: Any) -> str:
 
 def payload_json(report: Report) -> str:
     """Canonical JSON text of the report payload (deterministic bytes)."""
-    return _render(_jsonable(asdict(report)))
+    return _render(asdict(report))
 
 
 def document_json(report: Report) -> str:

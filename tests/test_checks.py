@@ -12,16 +12,26 @@ from mera_lab import checks, gates
 DENSE_SUITE_PEAK_BYTES = 4_243_864
 
 
-def disjoint_pairs(n: int):
-    return [(i, j) for i in range(1, n) for j in range(i + 2, n)]
+def site_pairs(n: int):
+    """Every pair i < j of gate positions: the disjoint pairs and the adjacent ones, which share a site."""
+    return [(i, j) for i in range(1, n) for j in range(i + 1, n)]
 
 
 def assert_products_equal_dense(gate: np.ndarray, n: int) -> None:
-    for i, j in disjoint_pairs(n):
+    for i, j in site_pairs(n):
         a = gates.embed(gate, i, n)
         b = gates.embed(gate, j, n)
         assert np.array_equal(checks._gate_times(gate, i, b), a @ b)
         assert np.array_equal(checks._gate_times(gate, j, a), b @ a)
+    # The swap-conjugated entangler: the swap layer moves the gate on (2, 3) onto (1, 4).
+    swaps = gates.swap_layer(n)
+    inner = gates.embed(gate, 2, n)
+    outer = swaps @ inner @ swaps
+    assert np.array_equal(checks._gate_times(gate, 2, outer), inner @ outer)
+
+
+def per_gate_defect(gate: np.ndarray) -> float:
+    return float(np.max(np.abs(gate @ gate.conj().T - np.eye(4))))
 
 
 class TestDisjointCommutators:
@@ -46,6 +56,15 @@ class TestDisjointCommutators:
     def test_suite_reports_exact_zero(self):
         suite = {c.name: c for c in checks.run_checks()}
         assert suite["disjoint_entangler_commutation"].measured == 0.0
+
+
+class TestUnitarityDefects:
+    def test_stack_equals_each_gate_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        rotations = gates.entangler_rotations(rng.uniform(-np.pi, np.pi, size=200))
+        rmatrices = np.stack([gates.rmatrix(lam) for lam in rng.uniform(-20.0, 20.0, size=200)])
+        for stack in (rotations, rmatrices):
+            assert np.array_equal(checks._unitarity_defects(stack), [per_gate_defect(gate) for gate in stack])
 
 
 class TestRunChecksMemory:

@@ -180,9 +180,11 @@ class TestEd:
         assert main(["ed", "--sites", "2", "--bc", "open"]) == 0
         assert "E0 = -0.750000000000" in capsys.readouterr().out
 
-    def test_out_of_range(self):
-        assert main(["ed", "--sites", "13"]) == 2
-        assert main(["ed", "--sites", "1"]) == 2
+    def test_out_of_range(self, capsys):
+        # heisenberg's ResourceError is the one site-limit check; the CLI maps it to exit 2.
+        for sites in ("13", "1", "0", "-3"):
+            assert main(["ed", "--sites", sites]) == 2
+            assert "supported range 2..12" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bc", ["open", "periodic"])
     @pytest.mark.parametrize("n", range(2, 11))

@@ -293,6 +293,11 @@ class TestEntanglerSpec:
         with pytest.raises(DomainError):
             gates.EntanglerSpec.rotation(1j)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rotation_refuses_non_finite_angle(self, theta):
+        with pytest.raises(DomainError, match="finite"):
+            gates.EntanglerSpec.rotation(theta)
+
     def test_rmatrix_rejects_pole(self):
         with pytest.raises(DomainError):
             gates.EntanglerSpec.rmatrix(-2j)

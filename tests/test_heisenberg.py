@@ -64,6 +64,19 @@ class TestHamiltonian:
         with pytest.raises(ResourceError):
             hb.hamiltonian(13, PERIODIC)
 
+    @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_pauli_kronecker_sum(self, n, bc):
+        # Independent of the term emitter: H = sum over bonds of (XX + YY + ZZ) / 4.
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
+
+        def at(op, site):
+            return np.kron(np.kron(np.eye(1 << site), op), np.eye(1 << (n - 1 - site)))
+
+        bonds = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if bc is PERIODIC else [])
+        expected = sum(at(p, i) @ at(p, j) for i, j in bonds for p in paulis) / 4
+        assert np.array_equal(hb.hamiltonian(n, bc), expected)
+
 
 class TestSectorHamiltonian:
     @pytest.mark.parametrize("bc", [OPEN, PERIODIC])
@@ -232,6 +245,11 @@ class TestSpinFlip:
             block = hb.sector_hamiltonian(n, n_down, bc)
             assert np.max(np.abs(values - np.linalg.eigvalsh(block))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [-1, 0, 1, 13])
+    def test_spectra_refuse_unsupported_sizes(self, n):
+        with pytest.raises(ResourceError, match="2..12"):
+            hb.sector_spectra(n)
+
     def test_mirror_pairs_share_one_read_only_array(self):
         spectra = hb.sector_spectra(7, OPEN)
         for n_down in range(8):
@@ -301,6 +319,21 @@ class TestMomentumBlocks:
                 assert shift == images.index(min(images))
                 assert period == next(r for r in range(1, order + 1) if images[r % order] == word)
                 assert np.count_nonzero(representatives == rep) == period
+
+    @pytest.mark.parametrize("n, bc", both_boundaries([2, 5, 8]))
+    def test_orbits_run_once_per_sector(self, monkeypatch, n, bc):
+        # Every exchange image lies in the sector, so its orbit comes from the sector's table.
+        calls = []
+        orbits = hb._orbits
+
+        def counting_orbits(*args):
+            calls.append(args)
+            return orbits(*args)
+
+        monkeypatch.setattr(hb, "_orbits", counting_orbits)
+        for n_down in range(n + 1):
+            hb.symmetry_blocks(n, n_down, bc)
+        assert len(calls) == n + 1
 
     @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
     def test_block_sizes_sum_to_the_sector_dimension(self, n, bc):

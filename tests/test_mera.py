@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,13 @@ class TestIsometryParams:
         with pytest.raises(ContractError):
             iso.validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_validate_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ContractError):
+            mera.IsometryParams.trivial(bad, 0.0, 0.6, 0.8).validate()
+        with pytest.raises(ContractError):
+            mera.IsometryParams.trivial(1.0, 0.0, 0.6, bad).validate()
+
 
 class TestIrState:
     def test_product_of_unit_vectors(self):
@@ -203,6 +211,15 @@ class TestIrState:
 
 
 class TestTrialState:
+    # inf arithmetic before the guard warns "invalid value"; the guard is what is tested.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_circuit_output_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(mera, "circuit_matrix", lambda gate: np.full((16, 16), bad, dtype=complex))
+        iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
+        with pytest.raises(DomainError, match="non-finite"):
+            mera.trial_state(gates.EntanglerSpec.rotation(0.3), iso)
+
     def test_zero_angle_returns_ir_state(self):
         rng = np.random.default_rng(32)
         iso = random_iso(rng)
@@ -446,6 +463,13 @@ class TestVariationalState:
     def test_normalized(self):
         state = mera.variational_state(gates.EntanglerSpec.rotation(-0.3), 5.0)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-13
+
+    # inf arithmetic before the guard warns "invalid value"; the guard is what is tested.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_raises(self, r):
+        with pytest.raises(DomainError, match="non-finite"):
+            mera.variational_state(gates.EntanglerSpec.rotation(0.3), r)
 
 
 class TestThetaSolvers:
