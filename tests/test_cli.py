@@ -391,6 +391,21 @@ class TestSweep:
         assert main(["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "20001"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_warm_sweep_traced_peak(self, capsys):
+        # Each block of rows is solved and formatted with its arrays freed before
+        # the next; 4096-row blocks and per-value formatting peaked near 8 MB here.
+        argv = ["sweep", "--theta-min", "-1.5", "--theta-max", "1.5", "--steps", "5001"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(capsys.readouterr().out.splitlines()) == 5002
+        assert peak < 3 * 2**20
+
     def test_long_sweep_memory_stays_bounded(self, tmp_path):
         # Rows are solved SWEEP_BLOCK at a time; one batch of all 100 001 rows
         # would hold over 150 MB of basis, product and state arrays.
