@@ -152,6 +152,8 @@ def trial_state(spec: gates.EntanglerSpec, iso: IsometryParams) -> TrialState:
 
 def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
     """Normalized state of the mirrored family at ratio r = -R01/R10: u = R01 and q = R10."""
+    if not math.isfinite(r):
+        raise DomainError(f"ratio r = {r!r} is non-finite")
     r10 = 1.0 / np.hypot(1.0, r)
     r01 = -r * r10
     basis = _mirrored_basis(spec.matrix()[None])[0]

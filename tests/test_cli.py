@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mera_lab import cli, heisenberg, mera, report
@@ -391,9 +391,15 @@ class TestSweep:
         assert main(["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "20001"]) == 0
         assert capsys.readouterr().err == ""
 
+    @example((-0.0, math.inf, -math.inf, math.nan, 5e-324))
+    @example((1.7976931348623157e308, 0.1, 1e16, -1e16, -5e-324))
+    @given(st.tuples(*[st.floats()] * 5))
+    def test_row_template_formats_like_format_17g(self, row):
+        assert cli._CSV_ROW % row == ",".join(format(v, ".17g") for v in row) + "\n"
+
     def test_warm_sweep_traced_peak(self, capsys):
-        # Each block of rows is solved and formatted with its arrays freed before
-        # the next; 4096-row blocks and per-value formatting peaked near 8 MB here.
+        # Each block's arrays are freed before the next block is solved, so the
+        # peak is one SWEEP_BLOCK of arrays plus the CSV text (0.5 MB here).
         argv = ["sweep", "--theta-min", "-1.5", "--theta-max", "1.5", "--steps", "5001"]
         assert main(argv) == 0
         capsys.readouterr()

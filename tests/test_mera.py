@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -464,12 +465,13 @@ class TestVariationalState:
         state = mera.variational_state(gates.EntanglerSpec.rotation(-0.3), 5.0)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-13
 
-    # inf arithmetic before the guard warns "invalid value"; the guard is what is tested.
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_ratio_raises(self, r):
-        with pytest.raises(DomainError, match="non-finite"):
-            mera.variational_state(gates.EntanglerSpec.rotation(0.3), r)
+        # The ratio is refused before any arithmetic, so no RuntimeWarning precedes the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                mera.variational_state(gates.EntanglerSpec.rotation(0.3), r)
 
 
 class TestThetaSolvers:
