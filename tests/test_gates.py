@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mera_lab import gates
+from mera_lab import gates, mera
 from mera_lab.errors import DomainError, ResourceError, ShapeError
 
 I4 = np.eye(4, dtype=complex)
@@ -309,3 +309,42 @@ class TestEntanglerSpec:
     def test_matrix_dispatch(self):
         assert np.array_equal(gates.EntanglerSpec.rotation(0.3).matrix(), gates.entangler_rotation(0.3))
         assert np.array_equal(gates.EntanglerSpec.rmatrix(1.5).matrix(), gates.rmatrix(1.5))
+
+
+def exchange_reference(diagonal: complex, upper: complex, lower: complex) -> np.ndarray:
+    """A gate written out by hand: 1 on |00> and |11>, [[diagonal, upper], [lower, diagonal]] on (|01>, |10>)."""
+    return np.array(
+        [[1, 0, 0, 0], [0, diagonal, upper, 0], [0, lower, diagonal, 0], [0, 0, 0, 1]],
+        dtype=complex,
+    )
+
+
+def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    # The raw bytes also compare the signs of zeros.
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestGateBytes:
+    ANGLES = [0.0, -0.0, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2, np.pi, 1e-300]
+
+    def test_swap(self):
+        assert_same_bytes(gates.swap(), exchange_reference(0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("theta", ANGLES)
+    def test_rotation(self, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        assert_same_bytes(gates.entangler_rotation(theta), exchange_reference(c, s, -s))
+
+    def test_rotation_stack(self):
+        expected = np.stack([exchange_reference(np.cos(t), np.sin(t), -np.sin(t)) for t in self.ANGLES])
+        assert_same_bytes(gates.entangler_rotations(self.ANGLES), expected)
+
+    @pytest.mark.parametrize(
+        "nu",
+        [0.0, 1.5, *mera.solve_nu_fit().roots, 2.0 * np.sqrt(3.0) - 4j],
+    )
+    def test_rmatrix(self, nu):
+        w = gates.bc(nu)
+        assert_same_bytes(gates.rmatrix(nu), exchange_reference(w.b, w.c, w.c))
