@@ -2,8 +2,8 @@
 
 Each check measures one deviation (a max over random samples where sampling
 applies) and compares it against its own default tolerance, unless a global
-override is given.  Sampling is seeded, so two runs with the same seed
-produce identical measured values.
+override is given.  Sampling draws from one fixed seed, so every run
+produces identical measured values.
 
 Entries with ``passed = None`` are informational: quantities that are
 deliberately reported without being asserted, such as the commutator of
@@ -31,7 +31,8 @@ import numpy as np
 from . import gates, mera
 from .heisenberg import four_site_ring
 
-DEFAULT_SEED = 1729
+#: Seed of the sampling generator; the report payload pins the values it draws.
+_SEED = 1729
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(4)), axis=(1, 2))
 
 
-def run_checks(tolerance: float | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def run_checks(tolerance: float | None = None) -> list[CheckResult]:
+    rng = np.random.default_rng(_SEED)
     results: list[CheckResult] = []
 
     def asserted(name: str, measured: float, default_tol: float) -> None:

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="optimize the entangler and emit a JSON report")
     p_opt.add_argument("--sites", type=int, default=4)
     p_opt.add_argument("--bc", choices=[b.value for b in BoundaryCondition], default="periodic")
-    p_opt.add_argument("--entangler", choices=[gates.ROTATION, gates.RMATRIX], default=gates.ROTATION)
+    p_opt.add_argument("--entangler", choices=gates.FAMILIES, default=gates.ROTATION)
     p_opt.add_argument("--out", type=str, default=None)
     p_opt.add_argument("--tolerance", type=float, default=None)
     p_opt.set_defaults(func=cmd_optimize)

@@ -34,6 +34,7 @@ _POLE_GUARD = 1e-12
 
 ROTATION = "rotation"
 RMATRIX = "rmatrix"
+FAMILIES = (ROTATION, RMATRIX)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class EntanglerSpec:
     parameter: complex
 
     def __post_init__(self) -> None:
-        if self.family not in (ROTATION, RMATRIX):
+        if self.family not in FAMILIES:
             raise DomainError(f"unknown entangler family {self.family!r}")
         angle = complex(self.parameter)
         if self.family == ROTATION and not (angle.imag == 0.0 and math.isfinite(angle.real)):
@@ -75,6 +76,20 @@ class BCFunctions:
     c: complex
 
 
+def _exchange_gates(diagonal, upper, lower) -> np.ndarray:
+    """Stack [m, 4, 4] of gates fixing |00> and |11>, with block [[diagonal, upper], [lower, diagonal]] on (|01>, |10>).
+
+    Each argument holds one entry per gate; the swap, the rotation and the
+    integrable-weight matrix all have this form.
+    """
+    stack = np.zeros((len(diagonal), 4, 4), dtype=complex)
+    stack[:, 0, 0] = stack[:, 3, 3] = 1.0
+    stack[:, 1, 1] = stack[:, 2, 2] = diagonal
+    stack[:, 1, 2] = upper
+    stack[:, 2, 1] = lower
+    return stack
+
+
 def entangler_rotation(theta: float) -> np.ndarray:
     """Rotation entangler: mixes |01> and |10>, leaves |00> and |11> alone.
 
@@ -94,26 +109,13 @@ def entangler_rotations(thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ShapeError(f"expected a 1-d array of angles, got shape {thetas.shape}")
-    c = np.cos(thetas)
     s = np.sin(thetas)
-    stack = np.zeros((len(thetas), 4, 4), dtype=complex)
-    stack[:, 0, 0] = 1.0
-    stack[:, 3, 3] = 1.0
-    stack[:, 1, 1] = c
-    stack[:, 1, 2] = s
-    stack[:, 2, 1] = -s
-    stack[:, 2, 2] = c
-    return stack
+    return _exchange_gates(np.cos(thetas), s, -s)
 
 
 def swap() -> np.ndarray:
     """Two-site swap gate S with S(|s> (x) |s'>) = |s'> (x) |s>; involutive."""
-    gate = np.zeros((4, 4), dtype=complex)
-    gate[0, 0] = 1.0
-    gate[1, 2] = 1.0
-    gate[2, 1] = 1.0
-    gate[3, 3] = 1.0
-    return gate
+    return _exchange_gates([0.0], [1.0], [1.0])[0]
 
 
 def bc(nu: complex) -> BCFunctions:
@@ -141,14 +143,7 @@ def rmatrix(nu: complex) -> np.ndarray:
     unaltered; callers own any renormalization.
     """
     w = bc(nu)
-    gate = np.zeros((4, 4), dtype=complex)
-    gate[0, 0] = 1.0
-    gate[3, 3] = 1.0
-    gate[1, 1] = w.b
-    gate[1, 2] = w.c
-    gate[2, 1] = w.c
-    gate[2, 2] = w.b
-    return gate
+    return _exchange_gates([w.b], [w.c], [w.c])[0]
 
 
 def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:

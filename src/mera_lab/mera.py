@@ -89,8 +89,6 @@ class IsometryParams:
 class TrialState:
     """Normalized 16-dimensional circuit output plus bookkeeping."""
 
-    spec: gates.EntanglerSpec
-    iso: IsometryParams
     state: np.ndarray
     raw_norm: float
     norm_applied: bool
@@ -113,7 +111,6 @@ class NuFitResult:
     """Roots of the spectral-parameter fit and diagnostics at quoted values."""
 
     roots: tuple[complex, complex]
-    residual_derived: float
     nu_quoted: tuple[complex, complex]
     residual_quoted: float
     b_at_nu_quoted: complex
@@ -147,7 +144,7 @@ def trial_state(spec: gates.EntanglerSpec, iso: IsometryParams) -> TrialState:
     if not _DEGENERATE_NORM <= raw_norm < math.inf:
         raise DomainError(f"circuit output has norm {raw_norm!r} (degenerate or non-finite input)")
     norm_applied = abs(raw_norm - 1.0) > 1e-13
-    return TrialState(spec=spec, iso=iso, state=state / raw_norm, raw_norm=raw_norm, norm_applied=norm_applied)
+    return TrialState(state=state / raw_norm, raw_norm=raw_norm, norm_applied=norm_applied)
 
 
 def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
@@ -542,7 +539,6 @@ def solve_nu_fit() -> NuFitResult:
     residual_quoted = max(abs(residual(nu)) for nu in quoted)
     return NuFitResult(
         roots=roots,
-        residual_derived=float(residual_derived),
         nu_quoted=quoted,
         residual_quoted=float(residual_quoted),
         b_at_nu_quoted=gates.bc(quoted[0]).b,

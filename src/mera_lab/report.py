@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import bethe, checks, gates, mera, wavelet
-from .errors import DomainError, NumericError
+from .errors import NumericError
 from .heisenberg import four_site_ring, sector_basis
 
 SCHEMA_VERSION = "1"
@@ -46,15 +46,8 @@ class Report:
     check_results: list[dict[str, Any]]
 
 
-def build_report(
-    entangler: str = gates.ROTATION,
-    tolerance: float | None = None,
-    seed: int = checks.DEFAULT_SEED,
-) -> Report:
+def build_report(entangler: str = gates.ROTATION, tolerance: float | None = None) -> Report:
     """Run the full optimization and diagnostics pipeline for one entangler family."""
-    if entangler not in (gates.ROTATION, gates.RMATRIX):
-        raise DomainError(f"unknown entangler family {entangler!r}")
-
     analytic = mera.solve_theta_analytic()
     h4, energy_ed, ground = four_site_ring()
 
@@ -64,15 +57,12 @@ def build_report(
     roots = bethe.solve_two_magnon(4)
     fit = mera.solve_nu_fit()
 
-    if entangler == gates.ROTATION:
-        spec = gates.EntanglerSpec.rotation(analytic.theta)
-    else:
-        spec = gates.EntanglerSpec.rmatrix(fit.roots[0])
-    energy_mera, ratio, state = mera.optimal_ratio(spec.matrix(), h4)
+    parameter = analytic.theta if entangler == gates.ROTATION else fit.roots[0]
+    energy_mera, ratio, state = mera.optimal_ratio(gates.EntanglerSpec(entangler, complex(parameter)).matrix(), h4)
 
     taps = wavelet.d4_coefficients().taps
     angles = wavelet.angle_report(analytic.theta, roots.roots[0].real)
-    suite = checks.run_checks(tolerance=tolerance, seed=seed)
+    suite = checks.run_checks(tolerance=tolerance)
 
     return Report(
         schema_version=SCHEMA_VERSION,

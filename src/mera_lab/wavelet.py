@@ -7,7 +7,7 @@ planar rotations acting on the even/odd polyphase components:
 
 The quadratic constraints (unit power, shift-2 orthogonality) hold for every
 angle pair; the DC condition sum(h) = sqrt(2) holds exactly on the line
-t1 + t2 = pi/4, which the constructor enforces.  On that line the filter
+t1 + t2 = pi/4, on which the constructor builds every filter.  On that line the filter
 response also vanishes at the band edge, and requiring the first derivative
 there to vanish as well (zero degree-1 alternating moment) singles out
 t1 = -pi/12: the D4 filter of the Daubechies family.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 _QUARTER_PI = np.pi / 4.0
 
@@ -56,16 +56,9 @@ class AngleReport:
     deviations: dict[str, float]
 
 
-def lattice_filter(theta1: float, theta2: float | None = None) -> ScalingFilter:
-    """Filter from the two-rotation lattice; theta2 defaults to pi/4 - theta1.
-
-    Passing an explicit theta2 off the DC line is rejected, since the
-    resulting taps could not sum to sqrt(2).
-    """
-    if theta2 is None:
-        theta2 = _QUARTER_PI - theta1
-    elif abs(theta1 + theta2 - _QUARTER_PI) > 1e-12:
-        raise DomainError("angle pair must satisfy theta1 + theta2 = pi/4")
+def lattice_filter(theta1: float) -> ScalingFilter:
+    """Filter from the two-rotation lattice at theta2 = pi/4 - theta1, on the DC line."""
+    theta2 = _QUARTER_PI - theta1
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
     return ScalingFilter(taps=(float(c1 * c2), float(c1 * s2), float(-s1 * s2), float(s1 * c2)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mera_lab import wavelet
-from mera_lab.errors import ContractError, DomainError
+from mera_lab.errors import ContractError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -64,15 +64,6 @@ class TestLatticeFilter:
         taps = np.asarray(wavelet.lattice_filter(angle).taps)
         expected = np.asarray(wavelet.d4_coefficients().taps)
         assert np.max(np.abs(taps - expected)) < 1e-12
-
-    def test_explicit_second_angle(self):
-        taps_default = wavelet.lattice_filter(0.2).taps
-        taps_explicit = wavelet.lattice_filter(0.2, np.pi / 4.0 - 0.2).taps
-        assert taps_default == taps_explicit
-
-    def test_off_line_second_angle_rejected(self):
-        with pytest.raises(DomainError):
-            wavelet.lattice_filter(0.2, 0.2)
 
 
 class TestScalingFilterInvariants:
