@@ -13,7 +13,8 @@ usage errors, as is an unsupported size (``ResourceError``, such as ``ed
 error raised while solving, a ``ValueError`` included, exits 1, as does a
 non-finite number in a report.  A sweep whose rows reach a level crossing
 (``CROSSING_GAP``) still exits 0; it names those rows in one warning line on
-stderr.
+stderr.  Likewise ``ed`` exits 0 on a degenerate ground level and writes its
+degeneracy, counted over all sectors, in one warning line on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import bethe, checks, gates, mera, report, wavelet
 from .errors import MeraLabError, ResourceError
-from .heisenberg import BoundaryCondition, four_site_ring, sector_hamiltonian, sector_spectra
+from .heisenberg import BoundaryCondition, four_site_ring, ground_degeneracy, sector_hamiltonian, sector_spectra
 
 _ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
@@ -111,6 +112,9 @@ def cmd_ed(args: argparse.Namespace) -> int:
         print("half-filling block:")
         for row in sector_hamiltonian(n, n // 2, bc):
             print("  [" + "  ".join(f"{v:5.2f}" for v in row) + "]")
+    count = ground_degeneracy(np.concatenate(spectra))
+    if count > 1:
+        print(f"warning: E0 is {count}-fold degenerate over all sectors", file=sys.stderr)
     return 0
 
 

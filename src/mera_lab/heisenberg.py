@@ -50,6 +50,9 @@ from .errors import DomainError, NumericError, ResourceError
 
 MAX_SITES = 12
 
+#: Levels within this multiple of max(1, |E0|) above the ground level E0 count as degenerate with it.
+_DEGENERACY_TOLERANCE = 1e-10
+
 
 class BoundaryCondition(str, Enum):
     OPEN = "open"
@@ -228,11 +231,16 @@ def ground_state(
     return _lowest_eigenpair(hamiltonian(n, bc))
 
 
+def ground_degeneracy(levels: np.ndarray) -> int:
+    """How many of ``levels`` lie within _DEGENERACY_TOLERANCE * max(1, |E0|) of their minimum E0."""
+    e0 = float(np.min(levels))
+    return int(np.count_nonzero(levels <= e0 + _DEGENERACY_TOLERANCE * max(1.0, abs(e0))))
+
+
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     values, vectors = np.linalg.eigh(h)
-    tolerance = 1e-10 * max(1.0, abs(values[0]))
-    if values[1] - values[0] <= tolerance:
-        count = int(np.count_nonzero(values <= values[0] + tolerance))
+    count = ground_degeneracy(values)
+    if count > 1:
         raise NumericError(f"ground state is {count}-fold degenerate at E0 = {values[0]:.12f}; no unique state vector")
     state = vectors[:, 0].astype(complex)
     state = state / np.linalg.norm(state)

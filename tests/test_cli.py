@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mera_lab import cli, heisenberg, mera, report
+from mera_lab.errors import NumericError
 from mera_lab.cli import main
 from mera_lab.heisenberg import hamiltonian
 
@@ -220,6 +221,22 @@ class TestEd:
         assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == ED_STDOUT_SHA256[n, bc]
+
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_degenerate_ground_level_is_named_on_stderr(self, capsys, n, bc):
+        # Even chains have a unique singlet ground state; an odd ring has two
+        # doublets (momenta +k, -k), an odd open chain one doublet.
+        count = 1 if n % 2 == 0 else 4 if bc == "periodic" else 2
+        assert main(["ed", "--sites", str(n), "--bc", bc]) == 0
+        err = capsys.readouterr().err
+        assert err == ("" if count == 1 else f"warning: E0 is {count}-fold degenerate over all sectors\n")
+        if n <= 8:
+            if count == 1:
+                heisenberg.ground_state(n, bc)
+            else:
+                with pytest.raises(NumericError, match=f"ground state is {count}-fold degenerate"):
+                    heisenberg.ground_state(n, bc)
 
     @pytest.mark.parametrize("bc", ["open", "periodic"])
     @pytest.mark.parametrize("n", range(2, 13))

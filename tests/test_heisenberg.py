@@ -165,6 +165,17 @@ class TestGroundState:
             hb.ground_state(n, bc)
 
 
+class TestGroundDegeneracy:
+    def test_counts_levels_within_the_relative_tolerance(self):
+        assert hb.ground_degeneracy(np.array([0.5, -1.0, -1.0 + 0.9e-10, -1.0 + 1.1e-10])) == 2
+        # Below |E0| = 1 the tolerance stays 1e-10; above, it grows with |E0|.
+        assert hb.ground_degeneracy(np.array([-0.1, -0.1 + 0.9e-10, -0.1 + 1.1e-10])) == 2
+        assert hb.ground_degeneracy(np.array([-100.0, -100.0 + 0.9e-8, -100.0 + 1.1e-8])) == 2
+
+    def test_single_level(self):
+        assert hb.ground_degeneracy(np.array([3.0])) == 1
+
+
 class TestFourSiteRing:
     def test_equals_the_uncached_builders_bit_for_bit(self):
         h, energy, ground = hb.four_site_ring()

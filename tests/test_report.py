@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mera_lab import report
+from mera_lab import gates, report
 from mera_lab.errors import DomainError, NumericError
 
 
@@ -64,8 +64,14 @@ def test_rmatrix_report_values():
 
 
 def test_unknown_entangler_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown entangler family 'squeeze'"):
         report.build_report(entangler="squeeze")
+    assert gates.FAMILIES == ("rotation", "rmatrix")
+    for family in gates.FAMILIES:
+        gates.EntanglerSpec(family, 0.5)
+    for family in ("squeeze", "Rotation", "", "rmatrix "):
+        with pytest.raises(DomainError, match=f"unknown entangler family {family!r}"):
+            gates.EntanglerSpec(family, 0.5)
 
 
 def test_float_rendering_17_significant_digits():
