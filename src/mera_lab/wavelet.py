@@ -7,10 +7,11 @@ planar rotations acting on the even/odd polyphase components:
 
 The quadratic constraints (unit power, shift-2 orthogonality) hold for every
 angle pair; the DC condition sum(h) = sqrt(2) holds exactly on the line
-t1 + t2 = pi/4, on which the constructor builds every filter.  On that line the filter
-response also vanishes at the band edge, and requiring the first derivative
-there to vanish as well (zero degree-1 alternating moment) singles out
-t1 = -pi/12: the D4 filter of the Daubechies family.
+t1 + t2 = pi/4, and the constructor builds every filter on it, so the DC
+condition holds by construction.  On that line the filter response also
+vanishes at the band edge, and requiring the first derivative there to
+vanish as well (zero degree-1 alternating moment) singles out t1 = -pi/12:
+the D4 filter of the Daubechies family.
 """
 
 from __future__ import annotations
