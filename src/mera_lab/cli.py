@@ -2,7 +2,8 @@
 
 Subcommands: optimize | ed | bethe | sweep | wavelet | check.
 Exit codes: 0 on success, 1 on numeric or check failure (including I/O
-problems writing outputs), 2 on usage errors.
+problems writing outputs), 2 on usage errors.  ``optimize`` writes its report
+even when a check of the suite fails, then exits 1.
 
 Tolerance precedence for `check`: --tolerance flag, then the
 MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
@@ -88,6 +89,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(f"fidelity = {rep.fidelity:.15f}")
     else:
         sys.stdout.write(text)
+    if any(result["passed"] is False for result in rep.check_results):
+        print("some checks failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -57,6 +57,26 @@ class TestDisjointCommutators:
         suite = {c.name: c for c in checks.run_checks()}
         assert suite["disjoint_entangler_commutation"].measured == 0.0
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_spanned_sites_give_the_dense_norm(self, n):
+        rng = np.random.default_rng(100 + n)
+        gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for i, j in site_pairs(n):
+            norm = checks._disjoint_commutator_norm(gate, i, j, n)
+            if j >= i + 2:
+                assert norm == 0.0
+            else:
+                # Overlapping supports: a nonzero norm, which pins the 2^((n - m)/2) factor.
+                a = gates.embed(gate, i, n)
+                b = gates.embed(gate, j, n)
+                assert norm == pytest.approx(np.linalg.norm(a @ b - b @ a), rel=1e-12, abs=0.0)
+
+    def test_suite_catches_a_misplaced_embedding(self, monkeypatch):
+        embed = gates.embed
+        monkeypatch.setattr(gates, "embed", lambda gate, site, n: embed(gate, max(1, site - 1), n))
+        suite = {c.name: c for c in checks.run_checks()}
+        assert suite["disjoint_entangler_commutation"].passed is False
+
 
 class TestUnitarityDefects:
     def test_stack_equals_each_gate_bit_for_bit(self):

@@ -153,6 +153,20 @@ class TestOptimize:
         assert main(["optimize", "--entangler", entangler, "--out", str(out)]) == 0
         assert hashlib.sha256(payload_section(out).encode()).hexdigest() == PAYLOAD_SHA256[entangler]
 
+    def test_failed_check_writes_the_report_and_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["optimize", "--tolerance", "1e-300", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"report written to {out}\n")
+        assert captured.err == "some checks failed\n"
+        assert main(["optimize", "--tolerance", "1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "some checks failed\n"
+        # stdout carries the same document that --out writes.
+        assert captured.out[captured.out.index('"payload":') :] == payload_section(out)
+        results = json.loads(captured.out)["payload"]["check_results"]
+        assert sum(result["passed"] is False for result in results) == 7
+
     def test_unsupported_sites(self):
         assert main(["optimize", "--sites", "6"]) == 2
 
