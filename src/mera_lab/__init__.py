@@ -7,42 +7,7 @@ the D4 orthogonal wavelet filter.
 """
 
 from . import bethe, checks, gates, heisenberg, mera, report, wavelet
-from .errors import (
-    ContractError,
-    DomainError,
-    MeraLabError,
-    NumericError,
-    ResourceError,
-    ShapeError,
-)
-from .gates import BCFunctions, EntanglerSpec
-from .heisenberg import BoundaryCondition
-from .mera import IsometryParams, NuFitResult, ThetaSolution, TrialState
-from .wavelet import AngleReport, ScalingFilter
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleReport",
-    "BCFunctions",
-    "BoundaryCondition",
-    "ContractError",
-    "DomainError",
-    "EntanglerSpec",
-    "IsometryParams",
-    "MeraLabError",
-    "NuFitResult",
-    "NumericError",
-    "ResourceError",
-    "ScalingFilter",
-    "ShapeError",
-    "ThetaSolution",
-    "TrialState",
-    "bethe",
-    "checks",
-    "gates",
-    "heisenberg",
-    "mera",
-    "report",
-    "wavelet",
-]
+__all__ = ["bethe", "checks", "gates", "heisenberg", "mera", "report", "wavelet"]

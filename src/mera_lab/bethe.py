@@ -27,7 +27,6 @@ _REAL_TOL = 1e-12
 class BetheRoots:
     """Rapidities of one solution plus the worst equation residual."""
 
-    L: int
     roots: tuple[complex, ...]
     residual_norm: float
 
@@ -86,7 +85,7 @@ def solve_two_magnon(L: int = 4) -> BetheRoots:
     residual_norm = max(abs(r) for r in residuals)
     if residual_norm > 1e-12:
         raise NumericError(f"two-magnon solution has residual {residual_norm:.3e}")
-    return BetheRoots(L=L, roots=(complex(lam), complex(-lam)), residual_norm=float(residual_norm))
+    return BetheRoots(roots=(complex(lam), complex(-lam)), residual_norm=float(residual_norm))
 
 
 def one_magnon_roots(L: int = 4) -> list[float]:

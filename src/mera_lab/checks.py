@@ -17,12 +17,14 @@ disjoint pairs (sites i, i+1 and j, j+1 with j >= i + 2, on 4, 6 and 8
 sites) A and B are both the identity outside the m = j - i + 2 sites i..j+1
 that they span, so [A, B] = I (x) C (x) I with C the commutator of the same
 two gates embedded at sites 1 and m - 1 of m, and ||[A, B]||_F equals
-2^((n - m)/2) ||C||_F.  C is formed on those m sites only, so the one
-2^n x 2^n array of the check is that of the pair (1, 7) on 8 sites.  Because
+2^((n - m)/2) ||C||_F (``_commutator_norm``).  The norm depends on a pair only
+through its span, so the check forms one commutator per span, m = 4..n, as
+the pair (1, m - 1); the one 2^n x 2^n array is that of m = n = 8.  Because
 the supports are disjoint, each entry of either product has exactly one
 nonzero term, the same product of two gate entries in both orders.  The
 contracted products therefore equal the dense ones exactly, and the
-measured commutator norm is exactly 0.
+measured commutator norm is exactly 0.  The adjacent pair (1, 2) on 4 sites
+(m = 3) goes through the same helper.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _gate_times(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
     return (gate @ matrix.reshape(2 ** (site - 1), 4, -1)).reshape(matrix.shape)
 
 
-def _disjoint_commutator_norm(gate: np.ndarray, i: int, j: int, n: int) -> float:
+def _commutator_norm(gate: np.ndarray, i: int, j: int, n: int) -> float:
     """Norm of [embed(gate, i, n), embed(gate, j, n)], i < j, formed on the m = j - i + 2 sites i..j+1."""
     m = j - i + 2
     commutator = _gate_times(gate, 1, gates.embed(gate, m - 1, m))
@@ -97,27 +99,19 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
     worst = 0.0
     for n in (4, 6, 8):
         gate = gates.entangler_rotation(float(rng.uniform(-np.pi, np.pi)))
-        for i in range(1, n - 2):
-            for j in range(i + 2, n):
-                worst = max(worst, _disjoint_commutator_norm(gate, i, j, n))
+        # The norm depends on the pair only through its span m = j - i + 2, so (1, j) covers m = 4..n.
+        for j in range(3, n):
+            worst = max(worst, _commutator_norm(gate, 1, j, n))
     asserted("disjoint_entangler_commutation", worst, 1e-13)
 
-    gate = gates.entangler_rotation(0.4)
-    commutator = _gate_times(gate, 1, gates.embed(gate, 2, 4)) - _gate_times(gate, 2, gates.embed(gate, 1, 4))
-    info("adjacent_entangler_commutator_norm", float(np.linalg.norm(commutator)))
+    info("adjacent_entangler_commutator_norm", _commutator_norm(gates.entangler_rotation(0.4), 1, 2, 4))
 
     raw = rng.normal(size=(50, 8))
     worst = 0.0
     for row in raw:
         left = row[:4] / np.linalg.norm(row[:4])
         right = row[4:] / np.linalg.norm(row[4:])
-        iso = mera.IsometryParams(*left, *right)
-        iso.validate()
-        worst = max(
-            worst,
-            abs(float(np.sum(np.abs(iso.left_vector()) ** 2)) - 1.0),
-            abs(float(np.sum(np.abs(iso.right_vector()) ** 2)) - 1.0),
-        )
+        worst = max(worst, mera.IsometryParams(*left, *right).validate())
     asserted("isometry_normalization", worst, 1e-12)
 
     nus = rng.normal(size=100) + 1j * rng.normal(size=100)

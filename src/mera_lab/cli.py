@@ -5,7 +5,7 @@ Exit codes: 0 on success, 1 on numeric or check failure (including I/O
 problems writing outputs), 2 on usage errors.  ``optimize`` writes its report
 even when a check of the suite fails, then exits 1.
 
-Tolerance precedence for `check`: --tolerance flag, then the
+Tolerance precedence for ``check`` and ``optimize``: --tolerance flag, then the
 MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
 A tolerance that is not a positive finite number (flag or environment), a
 non-finite sweep bound and a sweep ``--steps`` outside 1..MAX_SWEEP_STEPS are
@@ -89,7 +89,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(f"fidelity = {rep.fidelity:.15f}")
     else:
         sys.stdout.write(text)
-    if any(result["passed"] is False for result in rep.check_results):
+    if not checks.all_passed(rep.check_results):
         print("some checks failed", file=sys.stderr)
         return 1
     return 0

@@ -78,11 +78,16 @@ class IsometryParams:
     def right_vector(self) -> np.ndarray:
         return np.array([self.r00, self.r01, self.r10, self.r11], dtype=complex)
 
-    def validate(self) -> None:
+    def validate(self) -> float:
+        """The larger deviation |sum of squares - 1| of the two tensors; ``ContractError`` above 1e-12."""
+        worst = 0.0
         for name, vec in (("left", self.left_vector()), ("right", self.right_vector())):
             total = float(np.sum(np.abs(vec) ** 2))
-            if not abs(total - 1.0) <= 1e-12:
+            deviation = abs(total - 1.0)
+            if not deviation <= 1e-12:
                 raise ContractError(f"{name} tensor is not normalized: sum of squares = {total!r}")
+            worst = max(worst, deviation)
+        return worst
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,6 @@ class ThetaSolution:
 
     theta: float
     r: float
-    sin_m2theta: float
-    cos_m2theta: float
     energy: float
     fidelity: float
 
@@ -290,14 +293,7 @@ def solve_theta_analytic() -> ThetaSolution:
     state = variational_state(gates.EntanglerSpec.rotation(theta), r)
     h, _, ground = four_site_ring()
     energy = float(np.vdot(state, h @ state).real)
-    return ThetaSolution(
-        theta=theta,
-        r=r,
-        sin_m2theta=sin_m2,
-        cos_m2theta=cos_m2,
-        energy=energy,
-        fidelity=fidelity(state, ground),
-    )
+    return ThetaSolution(theta=theta, r=r, energy=energy, fidelity=fidelity(state, ground))
 
 
 @functools.cache
@@ -335,14 +331,7 @@ def solve_theta_numeric() -> ThetaSolution:
         theta += 0.5 * step * (e_minus - e_plus) / curvature
 
     energy, r, state = optimal_ratio(gates.entangler_rotation(theta), h)
-    return ThetaSolution(
-        theta=theta,
-        r=r,
-        sin_m2theta=float(np.sin(-2.0 * theta)),
-        cos_m2theta=float(np.cos(-2.0 * theta)),
-        energy=energy,
-        fidelity=fidelity(state, ground),
-    )
+    return ThetaSolution(theta=theta, r=r, energy=energy, fidelity=fidelity(state, ground))
 
 
 def _minimize_bounded(func, a: float, b: float, xatol: float, maxfun: int = 500) -> float:

@@ -30,6 +30,28 @@ def assert_products_equal_dense(gate: np.ndarray, n: int) -> None:
     assert np.array_equal(checks._gate_times(gate, 2, outer), inner @ outer)
 
 
+#: ``gates.embed`` and three broken variants: the gate one site to the left, one to the right, transposed.
+EMBEDDINGS = {
+    "real": lambda embed: embed,
+    "left": lambda embed: lambda gate, site, n: embed(gate, max(1, site - 1), n),
+    "right": lambda embed: lambda gate, site, n: embed(gate, min(n - 1, site + 1), n),
+    "transposed": lambda embed: lambda gate, site, n: embed(gate.T, site, n),
+}
+
+
+def all_disjoint_pairs_worst() -> float:
+    """Max of ``_commutator_norm`` over all 22 disjoint pairs (i, j) on n = 4, 6, 8, drawn as ``run_checks`` draws."""
+    rng = np.random.default_rng(checks._SEED)
+    rng.uniform(-np.pi, np.pi, size=100)  # the rotation-unitarity angles
+    worst = 0.0
+    for n in (4, 6, 8):
+        gate = gates.entangler_rotation(float(rng.uniform(-np.pi, np.pi)))
+        for i in range(1, n - 2):
+            for j in range(i + 2, n):
+                worst = max(worst, checks._commutator_norm(gate, i, j, n))
+    return worst
+
+
 def per_gate_defect(gate: np.ndarray) -> float:
     return float(np.max(np.abs(gate @ gate.conj().T - np.eye(4))))
 
@@ -62,7 +84,7 @@ class TestDisjointCommutators:
         rng = np.random.default_rng(100 + n)
         gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for i, j in site_pairs(n):
-            norm = checks._disjoint_commutator_norm(gate, i, j, n)
+            norm = checks._commutator_norm(gate, i, j, n)
             if j >= i + 2:
                 assert norm == 0.0
             else:
@@ -76,6 +98,26 @@ class TestDisjointCommutators:
         monkeypatch.setattr(gates, "embed", lambda gate, site, n: embed(gate, max(1, site - 1), n))
         suite = {c.name: c for c in checks.run_checks()}
         assert suite["disjoint_entangler_commutation"].passed is False
+
+    @pytest.mark.parametrize("variant", sorted(EMBEDDINGS))
+    def test_one_pair_per_span_equals_all_pairs(self, monkeypatch, variant):
+        monkeypatch.setattr(gates, "embed", EMBEDDINGS[variant](gates.embed))
+        expected = all_disjoint_pairs_worst()
+        suite = {c.name: c for c in checks.run_checks()}
+        assert suite["disjoint_entangler_commutation"].measured == expected
+        assert (expected == 0.0) is (variant == "real")
+
+    def test_suite_forms_one_commutator_per_span_and_one_adjacent(self, monkeypatch):
+        calls = []
+        helper = checks._commutator_norm
+
+        def counted(gate, i, j, n):
+            calls.append((i, j, n))
+            return helper(gate, i, j, n)
+
+        monkeypatch.setattr(checks, "_commutator_norm", counted)
+        checks.run_checks()
+        assert calls == [(1, j, n) for n in (4, 6, 8) for j in range(3, n)] + [(1, 2, 4)]
 
 
 class TestUnitarityDefects:

@@ -590,3 +590,29 @@ class TestImports:
         )
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+
+class TestMainModule:
+    """``python -m mera_lab.cli``: the ``__main__`` guard passes ``main``'s return value on as the exit code."""
+
+    @staticmethod
+    def run_module(*argv: str) -> subprocess.CompletedProcess:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {key: value for key, value in os.environ.items() if key != "MERA_LAB_TOLERANCE"}
+        env["PYTHONPATH"] = src
+        return subprocess.run([sys.executable, "-m", "mera_lab.cli", *argv], env=env, capture_output=True, text=True)
+
+    def test_success_exits_zero(self):
+        done = self.run_module("wavelet")
+        assert done.returncode == 0
+        assert done.stdout.startswith("D4 scaling taps: ")
+
+    def test_failed_check_exits_one(self):
+        done = self.run_module("check", "--tolerance", "1e-300")
+        assert done.returncode == 1
+        assert "some checks failed" in done.stderr
+
+    def test_usage_error_exits_two(self):
+        done = self.run_module("ed", "--sites", "13")
+        assert done.returncode == 2
+        assert "supported range 2..12" in done.stderr

@@ -173,6 +173,17 @@ class TestIsometryParams:
         with pytest.raises(ContractError):
             iso.validate()
 
+    def test_validate_returns_the_larger_deviation(self):
+        exact = mera.IsometryParams(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        assert exact.validate() == 0.0
+        small, large = 1.0 + 1e-13, 1.0 + 3e-13
+        for left, right in ((small, large), (large, small)):
+            iso = mera.IsometryParams(0.0, left, 0.0, 0.0, 0.0, right, 0.0, 0.0)
+            assert iso.validate() == abs(large * large - 1.0)
+            assert 0.0 < iso.validate() <= 1e-12
+        with pytest.raises(ContractError, match="right tensor"):
+            mera.IsometryParams(0.0, small, 0.0, 0.0, 0.0, 1.0 + 1e-12, 0.0, 0.0).validate()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_validate_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(ContractError):
@@ -478,8 +489,6 @@ class TestThetaSolvers:
     def test_analytic_trig_values(self):
         sol = mera.solve_theta_analytic()
         root5 = np.sqrt(5.0)
-        assert abs(sol.sin_m2theta - 1.0 / root5) < 1e-15
-        assert abs(sol.cos_m2theta - 2.0 / root5) < 1e-15
         assert abs(np.sin(-2.0 * sol.theta) - 1.0 / root5) < 1e-15
         assert abs(np.cos(-2.0 * sol.theta) - 2.0 / root5) < 1e-15
         assert abs(np.tan(-2.0 * sol.theta) - 0.5) < 1e-14

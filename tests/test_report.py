@@ -51,7 +51,7 @@ def test_rotation_report_values():
     assert np.allclose(rep.ed_coefficients, [1.0, -2.0, 1.0, 1.0, -2.0, 1.0], atol=1e-10)
     assert rep.nu_paper_residual > 1e-3
     assert abs(rep.entropy_cut2 - 0.8369882167858358) < 1e-12
-    names = {c["name"] for c in rep.check_results}
+    names = {c.name for c in rep.check_results}
     assert "adjacent_entangler_commutator_norm" in names
 
 
