@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mera_lab import checks, gates
+from mera_lab import checks, cli, gates
+from mera_lab.errors import NumericError
 
 #: Traced peak of one warm ``run_checks`` call when the disjoint commutators
 #: were dense 2^n x 2^n products (numpy 2.4.6, 64-bit Linux).
@@ -40,16 +41,41 @@ EMBEDDINGS = {
 
 
 def all_disjoint_pairs_worst() -> float:
-    """Max of ``_commutator_norm`` over all 22 disjoint pairs (i, j) on n = 4, 6, 8, drawn as ``run_checks`` draws."""
-    rng = np.random.default_rng(checks._SEED)
-    rng.uniform(-np.pi, np.pi, size=100)  # the rotation-unitarity angles
+    """Max of ``_commutator_norm`` over all 22 disjoint pairs (i, j) on n = 4, 6, 8, at the angles ``run_checks`` reads."""
+    angles = checks._load_draws()[100:103]  # after the 100 rotation-unitarity angles
     worst = 0.0
-    for n in (4, 6, 8):
-        gate = gates.entangler_rotation(float(rng.uniform(-np.pi, np.pi)))
+    for n, angle in zip((4, 6, 8), angles):
+        gate = gates.entangler_rotation(float(angle))
         for i in range(1, n - 2):
             for j in range(i + 2, n):
                 worst = max(worst, checks._commutator_norm(gate, i, j, n))
     return worst
+
+
+#: Seed of the generator that ``check_draws.txt`` was frozen from.
+DRAWS_SEED = 1729
+
+
+def seeded_draws() -> np.ndarray:
+    """The suite's samples redrawn from ``DRAWS_SEED`` in the order ``run_checks`` takes them.
+
+    ``check_draws.txt`` is ``table_text(map(repr, seeded_draws().tolist()))``.
+    """
+    rng = np.random.default_rng(DRAWS_SEED)
+    return np.concatenate(
+        [
+            rng.uniform(-np.pi, np.pi, size=100),  # rotation unitarity and the swap-conjugated entangler
+            [rng.uniform(-np.pi, np.pi) for _ in (4, 6, 8)],  # one disjoint-pair angle per n
+            rng.normal(size=(50, 8)).ravel(),  # isometry rows
+            rng.normal(size=100),  # real parts of nu
+            rng.normal(size=100),  # imaginary parts of nu
+            rng.uniform(-20.0, 20.0, size=100),  # R-matrix parameters
+        ]
+    )
+
+
+def table_text(lines) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def per_gate_defect(gate: np.ndarray) -> float:
@@ -118,6 +144,44 @@ class TestDisjointCommutators:
         monkeypatch.setattr(checks, "_commutator_norm", counted)
         checks.run_checks()
         assert calls == [(1, j, n) for n in (4, 6, 8) for j in range(3, n)] + [(1, 2, 4)]
+
+
+class TestDrawTable:
+    def test_table_is_the_seeded_draws_bit_for_bit(self):
+        # A numpy release that moves the PCG64 bits fails here, not in a payload pin.
+        draws = seeded_draws()
+        assert checks._load_draws().tobytes() == draws.tobytes()
+        with open(checks._DRAWS_PATH, encoding="ascii") as table:
+            assert table.read() == table_text(map(repr, draws.tolist()))
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "nan", "inf"])
+    def test_a_damaged_table_raises(self, tmp_path, monkeypatch, edit):
+        lines = [repr(v) for v in seeded_draws().tolist()]
+        if edit == "missing":
+            lines.pop()
+        elif edit == "extra":
+            lines.append("0.5")
+        else:
+            lines[400] = edit
+        table = tmp_path / "check_draws.txt"
+        table.write_text(table_text(lines))
+        monkeypatch.setattr(checks, "_DRAWS_PATH", str(table))
+        with pytest.raises(NumericError):
+            checks.run_checks()
+
+    def test_a_short_table_exits_one(self, tmp_path, monkeypatch, capsys):
+        table = tmp_path / "check_draws.txt"
+        table.write_text(table_text(map(repr, seeded_draws().tolist()[:700])))
+        monkeypatch.setattr(checks, "_DRAWS_PATH", str(table))
+        assert cli.main(["check"]) == 1
+        assert "expected 803 sample values, read 700" in capsys.readouterr().err
+
+    def test_a_missing_table_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(checks, "_DRAWS_PATH", str(tmp_path / "check_draws.txt"))
+        with pytest.raises(OSError):
+            checks.run_checks()
+        assert cli.main(["check"]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 class TestUnitarityDefects:

@@ -591,6 +591,23 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
 
+    def test_optimize_and_check_leave_numpy_random_unloaded(self):
+        # The check suite reads its samples from a table; no generator is imported.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {key: value for key, value in os.environ.items() if key != "MERA_LAB_TOLERANCE"}
+        env["PYTHONPATH"] = src
+        probe = (
+            "import contextlib, io, sys\n"
+            "from mera_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['optimize', '--entangler', 'rotation']) == 0\n"
+            "    assert cli.main(['optimize', '--entangler', 'rmatrix']) == 0\n"
+            "    assert cli.main(['check']) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
 
 class TestMainModule:
     """``python -m mera_lab.cli``: the ``__main__`` guard passes ``main``'s return value on as the exit code."""
