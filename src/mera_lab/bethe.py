@@ -52,8 +52,8 @@ def bethe_residual(roots: list[complex] | tuple[complex, ...], L: int) -> list[c
     return out
 
 
-def solve_two_magnon(L: int = 4) -> BetheRoots:
-    """Symmetric two-magnon solution lambda_1 = -lambda_2 of the L=4 system.
+def solve_two_magnon() -> BetheRoots:
+    """Symmetric two-magnon solution lambda_1 = -lambda_2 of the L = 4 system.
 
     Newton iteration on the log (additive-phase) form of the equations,
     which for the symmetric pair reduces to
@@ -64,8 +64,7 @@ def solve_two_magnon(L: int = 4) -> BetheRoots:
     -2 (L - 1) / (lambda^2 + 1).  Starting from 0.5 this converges to
     1/sqrt(3) in a handful of steps.
     """
-    if L != 4:
-        raise DomainError("only the 4-site two-magnon system is supported")
+    L = 4
 
     def phase_gap(lam: float) -> float:
         return 2.0 * (L - 1) * np.arctan(1.0 / lam) - 2.0 * np.pi

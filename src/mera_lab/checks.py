@@ -152,12 +152,12 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
 
     scale = float(np.hypot(1.0, analytic.r))
     iso_star = mera.IsometryParams.trivial(1.0, 0.0, -analytic.r / scale, 1.0 / scale)
-    raw_state = mera.trial_state(gates.EntanglerSpec.rotation(analytic.theta), iso_star).state
+    raw_state = mera.trial_state(gates.entangler_rotation(analytic.theta), iso_star).state
     info("raw_circuit_fidelity_at_optimum", mera.fidelity(raw_state, ground))
     info("raw_circuit_spin_flip_asymmetry", float(np.linalg.norm(raw_state - raw_state[::-1])))
 
     def family_energy(theta: float) -> float:
-        psi = mera.variational_state(gates.EntanglerSpec.rotation(theta), analytic.r)
+        psi = mera.variational_state(gates.entangler_rotation(theta), analytic.r)
         return float(np.vdot(psi, h4 @ psi).real)
 
     step = 1e-4

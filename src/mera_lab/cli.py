@@ -8,11 +8,11 @@ even when a check of the suite fails, then exits 1.
 Tolerance precedence for ``check`` and ``optimize``: --tolerance flag, then the
 MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
 A tolerance that is not a positive finite number (flag or environment), a
-non-finite sweep bound and a sweep ``--steps`` outside 1..MAX_SWEEP_STEPS are
-usage errors, as is an unsupported size (``ResourceError``, such as ``ed
---sites`` outside heisenberg's 2..MAX_SITES).  Only these exit 2: any other
-error raised while solving, a ``ValueError`` included, exits 1, as does a
-non-finite number in a report.  A sweep whose rows reach a level crossing
+sweep range whose bounds or span are not finite and a sweep ``--steps``
+outside 1..MAX_SWEEP_STEPS are usage errors, as is an unsupported size
+(``ResourceError``, such as ``ed --sites`` outside heisenberg's
+2..MAX_SITES).  Only these exit 2: any other error raised while solving, a
+``ValueError`` included, exits 1, as does a non-finite number in a report.  A sweep whose rows reach a level crossing
 (``CROSSING_GAP``) still exits 0; it names those rows in one warning line on
 stderr.  Likewise ``ed`` exits 0 on a degenerate ground level and writes its
 degeneracy, counted over all sectors, in one warning line on stderr.
@@ -128,7 +128,7 @@ def cmd_bethe(args: argparse.Namespace) -> int:
     if args.magnons not in (1, 2):
         raise UsageError("bethe supports --magnons 1 or 2")
     if args.magnons == 2:
-        solution = bethe.solve_two_magnon(args.sites)
+        solution = bethe.solve_two_magnon()
         momenta = bethe.momenta_from_roots(solution.roots)
         energy = bethe.energy_from_roots(solution.roots, args.sites)
         _, energy_ed, _ = four_site_ring()
@@ -152,8 +152,9 @@ def cmd_bethe(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 1 <= args.steps <= MAX_SWEEP_STEPS:
         raise UsageError(f"sweep needs --steps in 1..{MAX_SWEEP_STEPS}")
-    if not (math.isfinite(args.theta_min) and math.isfinite(args.theta_max)):
-        raise UsageError("sweep needs finite --theta-min and --theta-max")
+    # The span is finite only if both bounds are; linspace needs it finite.
+    if not math.isfinite(args.theta_max - args.theta_min):
+        raise UsageError("sweep needs finite --theta-min and --theta-max with a finite span")
     if args.theta_min > args.theta_max:
         raise UsageError("sweep needs --theta-min <= --theta-max")
     h, _, ground = four_site_ring()
@@ -186,7 +187,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_wavelet(args: argparse.Namespace) -> int:
     taps = wavelet.d4_coefficients().taps
     solution = mera.solve_theta_analytic()
-    roots = bethe.solve_two_magnon(4)
+    roots = bethe.solve_two_magnon()
     angles = wavelet.angle_report(solution.theta, roots.roots[0].real)
     print("D4 scaling taps: " + ", ".join(format(t, ".17g") for t in taps))
     print(f"sum of taps = {sum(taps):.17g}")

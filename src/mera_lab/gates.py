@@ -5,12 +5,14 @@ basis, |s1 s2 ... sn> maps to the index s1*2^(n-1) + ... + sn, with |0> the
 up state.  Site 1 is therefore the most significant bit, and embedding a
 two-site gate at position j means kron(I_{2^(j-1)}, gate, I_{2^(n-j-1)}).
 
-Two entangler families are supported:
+Two entangler families (``FAMILIES``) are supported, each passed around as
+its 4x4 gate:
 
-* a real rotation acting on the (|01>, |10>) block, parameterized by an
-  angle theta; always unitary;
-* the integrable-weight matrix with entries b(nu) = 2i/(nu+2i) and
-  c(nu) = nu/(nu+2i) in the same block; unitary exactly when nu is real.
+* ``rotation``: a real rotation acting on the (|01>, |10>) block,
+  parameterized by an angle theta; always unitary.  A complex or non-finite
+  angle raises :class:`DomainError`;
+* ``rmatrix``: the integrable-weight matrix with entries b(nu) = 2i/(nu+2i)
+  and c(nu) = nu/(nu+2i) in the same block; unitary exactly when nu is real.
 
 For complex nu the weight matrix is deliberately returned as-is (neither
 rejected nor rescaled): downstream state constructions renormalize, and the
@@ -35,37 +37,6 @@ _POLE_GUARD = 1e-12
 ROTATION = "rotation"
 RMATRIX = "rmatrix"
 FAMILIES = (ROTATION, RMATRIX)
-
-
-@dataclass(frozen=True)
-class EntanglerSpec:
-    """Tagged choice of entangler family plus its spectral parameter."""
-
-    family: str
-    parameter: complex
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown entangler family {self.family!r}")
-        angle = complex(self.parameter)
-        if self.family == ROTATION and not (angle.imag == 0.0 and math.isfinite(angle.real)):
-            raise DomainError(f"rotation angle must be real and finite, got {self.parameter!r}")
-        if self.family == RMATRIX:
-            bc(self.parameter)
-
-    @classmethod
-    def rotation(cls, theta: float) -> "EntanglerSpec":
-        return cls(ROTATION, complex(theta))
-
-    @classmethod
-    def rmatrix(cls, nu: complex) -> "EntanglerSpec":
-        return cls(RMATRIX, complex(nu))
-
-    def matrix(self) -> np.ndarray:
-        """The 4x4 gate for this spec."""
-        if self.family == ROTATION:
-            return entangler_rotation(self.parameter.real)
-        return rmatrix(self.parameter)
 
 
 @dataclass(frozen=True)
@@ -104,11 +75,18 @@ def entangler_rotations(thetas: np.ndarray) -> np.ndarray:
     """Stack [m, 4, 4] of rotation entanglers, one per angle of ``thetas``.
 
     The cosines and sines are taken of the whole array at once; each gate
-    equals, bit for bit, the gate of its angle alone.
+    equals, bit for bit, the gate of its angle alone.  A complex or
+    non-finite angle raises :class:`DomainError` before any arithmetic.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.asarray(thetas)
     if thetas.ndim != 1:
         raise ShapeError(f"expected a 1-d array of angles, got shape {thetas.shape}")
+    if np.iscomplexobj(thetas):
+        raise DomainError(f"rotation angles must be real, got {thetas.dtype} values")
+    thetas = thetas.astype(float, copy=False)
+    finite = np.isfinite(thetas)
+    if not finite.all():
+        raise DomainError(f"rotation angles must be finite, got {float(thetas[~finite][0])!r}")
     s = np.sin(thetas)
     return _exchange_gates(np.cos(thetas), s, -s)
 

@@ -136,13 +136,13 @@ def circuit_matrix(gate: np.ndarray) -> np.ndarray:
     return np.einsum("adeh,bcfg->abcdefgh", quarter, quarter).reshape(16, 16)
 
 
-def trial_state(spec: gates.EntanglerSpec, iso: IsometryParams) -> TrialState:
-    """Apply the four circuit layers to the IR state of ``iso`` and normalize.
+def trial_state(gate: np.ndarray, iso: IsometryParams) -> TrialState:
+    """Apply the four circuit layers of the 4x4 ``gate`` to the IR state of ``iso`` and normalize.
 
     Renormalization only kicks in for non-unitary gates (complex spectral
     parameter); ``norm_applied`` records whether it did.
     """
-    state = circuit_matrix(spec.matrix()) @ ir_state(iso)
+    state = circuit_matrix(gate) @ ir_state(iso)
     raw_norm = float(np.linalg.norm(state))
     if not _DEGENERATE_NORM <= raw_norm < math.inf:
         raise DomainError(f"circuit output has norm {raw_norm!r} (degenerate or non-finite input)")
@@ -150,13 +150,13 @@ def trial_state(spec: gates.EntanglerSpec, iso: IsometryParams) -> TrialState:
     return TrialState(state=state / raw_norm, raw_norm=raw_norm, norm_applied=norm_applied)
 
 
-def variational_state(spec: gates.EntanglerSpec, r: float) -> np.ndarray:
-    """Normalized state of the mirrored family at ratio r = -R01/R10: u = R01 and q = R10."""
+def variational_state(gate: np.ndarray, r: float) -> np.ndarray:
+    """Normalized state of the mirrored family of the 4x4 ``gate`` at ratio r = -R01/R10: u = R01 and q = R10."""
     if not math.isfinite(r):
         raise DomainError(f"ratio r = {r!r} is non-finite")
     r10 = 1.0 / np.hypot(1.0, r)
     r01 = -r * r10
-    basis = _mirrored_basis(spec.matrix()[None])[0]
+    basis = _mirrored_basis(gate[None])[0]
     psi = r01 * basis[0] + r10 * basis[1]
     norm = float(np.linalg.norm(psi))
     if not _DEGENERATE_NORM <= norm < math.inf:
@@ -290,7 +290,7 @@ def solve_theta_analytic() -> ThetaSolution:
     sin_m2 = rho1 / r
     cos_m2 = -rho2 / r
     theta = -0.5 * float(np.arctan2(sin_m2, cos_m2))
-    state = variational_state(gates.EntanglerSpec.rotation(theta), r)
+    state = variational_state(gates.entangler_rotation(theta), r)
     h, _, ground = four_site_ring()
     energy = float(np.vdot(state, h @ state).real)
     return ThetaSolution(theta=theta, r=r, energy=energy, fidelity=fidelity(state, ground))

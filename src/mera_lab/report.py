@@ -14,10 +14,8 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Any
 
-import numpy as np
-
 from . import bethe, checks, gates, mera, wavelet
-from .errors import NumericError
+from .errors import DomainError, NumericError
 from .heisenberg import four_site_ring, sector_basis
 
 SCHEMA_VERSION = "1"
@@ -47,18 +45,20 @@ class Report:
 
 
 def build_report(entangler: str = gates.ROTATION, tolerance: float | None = None) -> Report:
-    """Run the full optimization and diagnostics pipeline for one entangler family."""
+    """Run the full optimization and diagnostics pipeline for one entangler family of ``gates.FAMILIES``."""
+    if entangler not in gates.FAMILIES:
+        raise DomainError(f"unknown entangler family {entangler!r}")
     analytic = mera.solve_theta_analytic()
     h4, energy_ed, ground = four_site_ring()
 
     amps = ground[sector_basis(4, 2)].real
     coefficients = [float(a / amps[0]) for a in amps]
 
-    roots = bethe.solve_two_magnon(4)
+    roots = bethe.solve_two_magnon()
     fit = mera.solve_nu_fit()
 
-    parameter = analytic.theta if entangler == gates.ROTATION else fit.roots[0]
-    energy_mera, ratio, state = mera.optimal_ratio(gates.EntanglerSpec(entangler, complex(parameter)).matrix(), h4)
+    gate = gates.entangler_rotation(analytic.theta) if entangler == gates.ROTATION else gates.rmatrix(fit.roots[0])
+    energy_mera, ratio, state = mera.optimal_ratio(gate, h4)
 
     taps = wavelet.d4_coefficients().taps
     angles = wavelet.angle_report(analytic.theta, roots.roots[0].real)
@@ -90,15 +90,11 @@ def build_report(entangler: str = gates.ROTATION, tolerance: float | None = None
 
 
 def _render(value: Any) -> str:
-    """Canonical JSON text of a report value; numpy values render as Python ones, complex as [re, im]."""
-    if isinstance(value, np.generic):
-        return _render(value.item())
+    """Canonical JSON text of a report value; complex numbers render as [re, im]."""
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NumericError(f"cannot serialize non-finite float {value!r}")
@@ -112,8 +108,6 @@ def _render(value: Any) -> str:
         items = sorted(value.items(), key=lambda item: str(item[0]))
         body = ",".join(f"{_render(str(k))}:{_render(v)}" for k, v in items)
         return "{" + body + "}"
-    if isinstance(value, np.ndarray):
-        return _render(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -37,7 +37,7 @@ def test_criterion_02_exact_ground_state_reached():
     assert abs(energy_ed - (-2.0)) < 1e-12
 
     sol = mera.solve_theta_analytic()
-    state = mera.variational_state(gates.EntanglerSpec.rotation(sol.theta), sol.r)
+    state = mera.variational_state(gates.entangler_rotation(sol.theta), sol.r)
     fid = mera.fidelity(state, ground)
     assert fid >= 1.0 - 1e-10
     h4 = hamiltonian(4, BoundaryCondition.PERIODIC)
@@ -64,7 +64,7 @@ def test_criterion_04_half_filling_block_exact(h4):
 
 
 def test_criterion_05_bethe_anchor():
-    solution = bethe.solve_two_magnon(4)
+    solution = bethe.solve_two_magnon()
     lam = solution.roots[0].real
     assert abs(lam - 1.0 / math.sqrt(3.0)) < 1e-12
     assert solution.residual_norm < 1e-12
@@ -150,7 +150,7 @@ def test_criterion_09_entanglement_entropy():
     assert np.allclose(np.sort(spectrum)[::-1], [0.75, 1 / 12, 1 / 12, 1 / 12], atol=1e-12)
 
     iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
-    ts = mera.trial_state(gates.EntanglerSpec.rotation(0.0), iso)
+    ts = mera.trial_state(gates.entangler_rotation(0.0), iso)
     assert mera.entanglement_entropy(ts.state, 2) == 0.0
     announce(9, "entanglement entropy", f"middle-cut value = {value:.10f} nats")
 

@@ -31,31 +31,27 @@ class TestResidual:
 
 class TestTwoMagnonSolver:
     def test_root_value(self):
-        solution = bethe.solve_two_magnon(4)
+        solution = bethe.solve_two_magnon()
         lam = solution.roots[0].real
         assert abs(lam - 0.5773502691896258) < 1e-12
         assert abs(np.arctan(lam) - np.pi / 6.0) < 1e-12
         assert solution.roots[1] == -solution.roots[0]
 
     def test_residual_norm(self):
-        solution = bethe.solve_two_magnon(4)
+        solution = bethe.solve_two_magnon()
         assert solution.residual_norm < 1e-12
 
     def test_both_equations_checked_independently(self):
-        solution = bethe.solve_two_magnon(4)
+        solution = bethe.solve_two_magnon()
         residuals = bethe.bethe_residual(list(solution.roots), 4)
         assert len(residuals) == 2
         assert all(abs(r) < 1e-12 for r in residuals)
 
     def test_negated_pair_is_also_a_solution(self):
-        solution = bethe.solve_two_magnon(4)
+        solution = bethe.solve_two_magnon()
         forward = bethe.bethe_residual(list(solution.roots), 4)
         backward = bethe.bethe_residual([-r for r in solution.roots], 4)
         assert abs(max(abs(r) for r in forward) - max(abs(r) for r in backward)) < 1e-13
-
-    def test_unsupported_length(self):
-        with pytest.raises(DomainError):
-            bethe.solve_two_magnon(6)
 
 
 class TestMomenta:
@@ -77,7 +73,7 @@ class TestMomenta:
 
 class TestEnergy:
     def test_ground_pair_matches_exact_diagonalization(self):
-        solution = bethe.solve_two_magnon(4)
+        solution = bethe.solve_two_magnon()
         energy = bethe.energy_from_roots(solution.roots, 4)
         energy_ed, _ = ground_state(4, BoundaryCondition.PERIODIC)
         assert abs(energy - (-2.0)) < 1e-12

@@ -147,8 +147,7 @@ class TestOptimize:
         assert payload["nu_paper_residual"] > 0.0
 
     @pytest.mark.parametrize("entangler", sorted(PAYLOAD_SHA256))
-    def test_payload_bytes_are_pinned(self, tmp_path, monkeypatch, entangler):
-        monkeypatch.delenv("MERA_LAB_TOLERANCE", raising=False)
+    def test_payload_bytes_are_pinned(self, tmp_path, entangler):
         out = tmp_path / "report.json"
         assert main(["optimize", "--entangler", entangler, "--out", str(out)]) == 0
         assert hashlib.sha256(payload_section(out).encode()).hexdigest() == PAYLOAD_SHA256[entangler]
@@ -468,7 +467,7 @@ class TestSweep:
         assert main(["sweep", "--theta-min", "-inf", "--theta-max", "0.1", "--steps", "3"]) == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bounds", [("nan", "0.1"), ("-0.1", "nan"), ("-inf", "0.1"), ("-0.1", "inf")])
+    @pytest.mark.parametrize("bounds", [("nan", "0.1"), ("-0.1", "nan"), ("-inf", "0.1"), ("-0.1", "inf"), ("-1.7e308", "1.7e308")])
     def test_non_finite_range(self, capsys, bounds):
         assert main(["sweep", f"--theta-min={bounds[0]}", f"--theta-max={bounds[1]}", "--steps", "3"]) == 2
         assert "finite" in capsys.readouterr().err
@@ -570,8 +569,7 @@ class TestUsage:
 
 class TestPinnedStdout:
     @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=" ".join)
-    def test_stdout_bytes_are_pinned(self, capsys, monkeypatch, argv):
-        monkeypatch.delenv("MERA_LAB_TOLERANCE", raising=False)
+    def test_stdout_bytes_are_pinned(self, capsys, argv):
         assert main(list(argv)) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
@@ -594,8 +592,7 @@ class TestImports:
     def test_optimize_and_check_leave_numpy_random_unloaded(self):
         # The check suite reads its samples from a table; no generator is imported.
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {key: value for key, value in os.environ.items() if key != "MERA_LAB_TOLERANCE"}
-        env["PYTHONPATH"] = src
+        env = dict(os.environ, PYTHONPATH=src)
         probe = (
             "import contextlib, io, sys\n"
             "from mera_lab import cli\n"
@@ -615,8 +612,7 @@ class TestMainModule:
     @staticmethod
     def run_module(*argv: str) -> subprocess.CompletedProcess:
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {key: value for key, value in os.environ.items() if key != "MERA_LAB_TOLERANCE"}
-        env["PYTHONPATH"] = src
+        env = dict(os.environ, PYTHONPATH=src)
         return subprocess.run([sys.executable, "-m", "mera_lab.cli", *argv], env=env, capture_output=True, text=True)
 
     def test_success_exits_zero(self):

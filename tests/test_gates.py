@@ -136,7 +136,7 @@ class TestWeights:
         with pytest.raises(DomainError, match="not finite"):
             gates.bc(nu)
         with pytest.raises(DomainError, match="not finite"):
-            gates.EntanglerSpec.rmatrix(nu)
+            gates.rmatrix(nu)
 
     @settings(deadline=None)
     @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
@@ -288,27 +288,34 @@ class TestSwapConjugation:
             assert np.linalg.norm(inner @ outer - outer @ inner) < 1e-13
 
 
-class TestEntanglerSpec:
-    def test_rotation_requires_real_angle(self):
-        with pytest.raises(DomainError):
-            gates.EntanglerSpec.rotation(1j)  # type: ignore[arg-type]
+class TestBuilderInput:
+    @pytest.mark.parametrize("theta", [1j, 0.1 + 0.5j, np.complex128(0.3)])
+    def test_rotation_refuses_complex_angle(self, theta):
+        with pytest.raises(DomainError, match="real"):
+            gates.entangler_rotation(theta)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_rotation_refuses_non_finite_angle(self, theta):
         with pytest.raises(DomainError, match="finite"):
-            gates.EntanglerSpec.rotation(theta)
+            gates.entangler_rotation(theta)
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [np.array([0.1 + 0.5j]), [0.2, 0.1j], [0.1, math.nan], np.array([math.inf, 0.2]), [0.0, -math.inf]],
+    )
+    def test_rotation_stack_refuses_a_bad_angle(self, thetas):
+        # No ComplexWarning or "invalid value" RuntimeWarning fires first: the suite turns warnings into errors.
+        with pytest.raises(DomainError, match="real|finite"):
+            gates.entangler_rotations(thetas)
 
     def test_rmatrix_rejects_pole(self):
         with pytest.raises(DomainError):
-            gates.EntanglerSpec.rmatrix(-2j)
+            gates.rmatrix(-2j)
 
-    def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            gates.EntanglerSpec("squeeze", 0.0)
-
-    def test_matrix_dispatch(self):
-        assert np.array_equal(gates.EntanglerSpec.rotation(0.3).matrix(), gates.entangler_rotation(0.3))
-        assert np.array_equal(gates.EntanglerSpec.rmatrix(1.5).matrix(), gates.rmatrix(1.5))
+    @pytest.mark.parametrize("nu", [math.nan, complex(math.inf, 0.0), complex(0.0, math.nan)])
+    def test_rmatrix_refuses_non_finite_parameter(self, nu):
+        with pytest.raises(DomainError, match="not finite"):
+            gates.rmatrix(nu)
 
 
 def exchange_reference(diagonal: complex, upper: complex, lower: complex) -> np.ndarray:

@@ -419,7 +419,7 @@ class TestMomentumBlocks:
         assert holding == [m]
 
     def test_four_site_ground_momentum_matches_bethe(self):
-        momenta = bethe.momenta_from_roots(bethe.solve_two_magnon(4).roots)
+        momenta = bethe.momenta_from_roots(bethe.solve_two_magnon().roots)
         total = math.remainder(sum(momenta), 2 * math.pi)
         assert abs(total) < 1e-12
         blocks = hb.symmetry_blocks(4, 2, PERIODIC)

@@ -230,12 +230,12 @@ class TestTrialState:
         monkeypatch.setattr(mera, "circuit_matrix", lambda gate: np.full((16, 16), bad, dtype=complex))
         iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
         with pytest.raises(DomainError, match="non-finite"):
-            mera.trial_state(gates.EntanglerSpec.rotation(0.3), iso)
+            mera.trial_state(gates.entangler_rotation(0.3), iso)
 
     def test_zero_angle_returns_ir_state(self):
         rng = np.random.default_rng(32)
         iso = random_iso(rng)
-        ts = mera.trial_state(gates.EntanglerSpec.rotation(0.0), iso)
+        ts = mera.trial_state(gates.entangler_rotation(0.0), iso)
         assert np.max(np.abs(ts.state - mera.ir_state(iso))) < 1e-15
         assert not ts.norm_applied
 
@@ -243,7 +243,7 @@ class TestTrialState:
         rng = np.random.default_rng(33)
         for _ in range(100):
             theta = float(rng.uniform(-np.pi, np.pi))
-            ts = mera.trial_state(gates.EntanglerSpec.rotation(theta), random_iso(rng))
+            ts = mera.trial_state(gates.entangler_rotation(theta), random_iso(rng))
             assert abs(ts.raw_norm - 1.0) < 1e-13
             assert not ts.norm_applied
 
@@ -253,7 +253,7 @@ class TestTrialState:
             theta = float(rng.uniform(-np.pi, np.pi))
             iso = random_iso(rng)
             omega = mera.ir_state(iso)
-            ts = mera.trial_state(gates.EntanglerSpec.rotation(theta), iso)
+            ts = mera.trial_state(gates.entangler_rotation(theta), iso)
             m_left, m_right = left_half_blocks(theta)
             expected = m_left @ omega[:8] + m_right @ omega[8:]
             assert np.max(np.abs(ts.state[:8] * ts.raw_norm - expected)) < 1e-13
@@ -264,7 +264,7 @@ class TestTrialState:
             theta = float(rng.uniform(-np.pi, np.pi))
             iso = flip_symmetric_iso(rng)
             omega = mera.ir_state(iso)
-            ts = mera.trial_state(gates.EntanglerSpec.rotation(theta), iso)
+            ts = mera.trial_state(gates.entangler_rotation(theta), iso)
             expected = reordered_left_block(theta) @ omega[:8]
             assert np.max(np.abs(ts.state[:8] * ts.raw_norm - expected)) < 1e-13
 
@@ -274,7 +274,7 @@ class TestTrialState:
         iso = flip_symmetric_iso(np.random.default_rng(36))
         u = iso.l01 * iso.r01
         q = iso.l01 * iso.r10
-        ts = mera.trial_state(gates.EntanglerSpec.rotation(theta), iso)
+        ts = mera.trial_state(gates.entangler_rotation(theta), iso)
         expected = np.zeros(8, dtype=complex)
         expected[3] = 2 * c * s * u
         expected[5] = (c * c - s * s) * u
@@ -287,7 +287,7 @@ class TestTrialState:
         iso = flip_symmetric_iso(np.random.default_rng(37))
         u = iso.l01 * iso.r01
         q = iso.l01 * iso.r10
-        ts = mera.trial_state(gates.EntanglerSpec.rmatrix(nu), iso)
+        ts = mera.trial_state(gates.rmatrix(nu), iso)
         expected = np.zeros(8, dtype=complex)
         expected[3] = 2.0 * w.b * w.c * u
         expected[5] = (w.b ** 2 + w.c ** 2) * u
@@ -297,7 +297,7 @@ class TestTrialState:
     def test_complex_weight_parameter_is_renormalized(self):
         nu = complex(0.0, 2.0 * np.sqrt(3.0) - 4.0)
         iso = mera.IsometryParams.trivial(1.0, 0.0, -0.6, 0.8)
-        ts = mera.trial_state(gates.EntanglerSpec.rmatrix(nu), iso)
+        ts = mera.trial_state(gates.rmatrix(nu), iso)
         assert ts.norm_applied
         assert abs(ts.raw_norm - 1.0) > 1e-3
         assert abs(np.linalg.norm(ts.state) - 1.0) < 1e-13
@@ -312,7 +312,7 @@ class TestTrialState:
                 *(raw[:2] / np.linalg.norm(raw[:2])), *(raw[2:] / np.linalg.norm(raw[2:]))
             )
             theta = float(rng.uniform(-np.pi, np.pi))
-            ts = mera.trial_state(gates.EntanglerSpec.rotation(theta), iso)
+            ts = mera.trial_state(gates.entangler_rotation(theta), iso)
             assert np.max(np.abs(ts.state[outside])) < 1e-14
 
 
@@ -459,21 +459,21 @@ class TestVariationalState:
     def test_exact_ground_state_at_optimum(self, exact_ground):
         _, ground = exact_ground
         sol = mera.solve_theta_analytic()
-        state = mera.variational_state(gates.EntanglerSpec.rotation(sol.theta), sol.r)
+        state = mera.variational_state(gates.entangler_rotation(sol.theta), sol.r)
         assert 1.0 - mera.fidelity(state, ground) < 1e-12
 
     def test_spin_flip_symmetric_by_construction(self):
-        state = mera.variational_state(gates.EntanglerSpec.rotation(0.7), 2.0)
+        state = mera.variational_state(gates.entangler_rotation(0.7), 2.0)
         assert np.array_equal(state, state[::-1])
 
     def test_weight_entangler_reaches_ground_at_unit_ratio(self, exact_ground):
         _, ground = exact_ground
         fit = mera.solve_nu_fit()
-        state = mera.variational_state(gates.EntanglerSpec.rmatrix(fit.roots[0]), 1.0)
+        state = mera.variational_state(gates.rmatrix(fit.roots[0]), 1.0)
         assert 1.0 - mera.fidelity(state, ground) < 1e-12
 
     def test_normalized(self):
-        state = mera.variational_state(gates.EntanglerSpec.rotation(-0.3), 5.0)
+        state = mera.variational_state(gates.entangler_rotation(-0.3), 5.0)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-13
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
@@ -482,7 +482,7 @@ class TestVariationalState:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="non-finite"):
-                mera.variational_state(gates.EntanglerSpec.rotation(0.3), r)
+                mera.variational_state(gates.entangler_rotation(0.3), r)
 
 
 class TestThetaSolvers:
@@ -539,7 +539,7 @@ class TestThetaSolvers:
         step = 1e-4
 
         def energy(theta: float) -> float:
-            psi = mera.variational_state(gates.EntanglerSpec.rotation(theta), sol.r)
+            psi = mera.variational_state(gates.entangler_rotation(theta), sol.r)
             return float(np.vdot(psi, h4 @ psi).real)
 
         slope = (energy(sol.theta + step) - energy(sol.theta - step)) / (2.0 * step)
@@ -683,7 +683,7 @@ class TestEntanglementEntropy:
 
     def test_trivial_circuit_state_zero(self):
         iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
-        ts = mera.trial_state(gates.EntanglerSpec.rotation(0.0), iso)
+        ts = mera.trial_state(gates.entangler_rotation(0.0), iso)
         assert mera.entanglement_entropy(ts.state, 2) == 0.0
 
     def test_exact_ground_matches_partial_trace_oracle(self, exact_ground):

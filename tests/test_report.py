@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mera_lab import gates, report
+from mera_lab import gates, mera, report
 from mera_lab.errors import DomainError, NumericError
 
 
@@ -63,15 +63,17 @@ def test_rmatrix_report_values():
     assert abs(rep.ground_energy_mera - rep.ground_energy_ed) < 1e-10
 
 
-def test_unknown_entangler_rejected():
-    with pytest.raises(DomainError, match="unknown entangler family 'squeeze'"):
-        report.build_report(entangler="squeeze")
+def test_unknown_entangler_rejected(monkeypatch):
     assert gates.FAMILIES == ("rotation", "rmatrix")
-    for family in gates.FAMILIES:
-        gates.EntanglerSpec(family, 0.5)
+
+    def solved(*args, **kwargs):
+        raise AssertionError("an unknown family reached a solver")
+
+    # The family is checked before any solve.
+    monkeypatch.setattr(mera, "solve_theta_analytic", solved)
     for family in ("squeeze", "Rotation", "", "rmatrix "):
         with pytest.raises(DomainError, match=f"unknown entangler family {family!r}"):
-            gates.EntanglerSpec(family, 0.5)
+            report.build_report(entangler=family)
 
 
 def test_float_rendering_17_significant_digits():
