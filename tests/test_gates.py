@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mera_lab import gates, mera
+from mera_lab import gates, mera, report
 from mera_lab.errors import DomainError, ResourceError, ShapeError
 
 I4 = np.eye(4, dtype=complex)
@@ -316,6 +316,14 @@ class TestBuilderInput:
     def test_rmatrix_refuses_non_finite_parameter(self, nu):
         with pytest.raises(DomainError, match="not finite"):
             gates.rmatrix(nu)
+
+
+class TestEntanglerSpec:
+    # An entangler is named by a family of ``gates.FAMILIES``; the pipeline refuses any other name.
+    def test_unknown_family(self):
+        assert "squeeze" not in gates.FAMILIES
+        with pytest.raises(DomainError, match="unknown entangler family 'squeeze'"):
+            report.build_report(entangler="squeeze")
 
 
 def exchange_reference(diagonal: complex, upper: complex, lower: complex) -> np.ndarray:
