@@ -29,6 +29,27 @@ nonzero term, the same product of two gate entries in both orders.  The
 contracted products therefore equal the dense ones exactly, and the
 measured commutator norm is exactly 0.  The adjacent pair (1, 2) on 4 sites
 (m = 3) goes through the same helper.
+
+The per-sample checks are stacked: the rotations and the R-matrices are
+each one [k, 4, 4] array (``gates.entangler_rotations``,
+``gates.rmatrices``), the 50 isometry rows are normalized in one step, and
+the 100 swap-conjugated commutators are stacked products
+(``_swap_conjugation_defects``), 25 gates at a time: one stack of 100 took
+1.6 MB of traced memory, four of 25 took 0.5 MB and less time, their
+100 kB arrays staying in cache.  Each stacked value equals, bit for bit,
+the value of its sample alone.
+
+No BLAS call of the suite is large enough for OpenBLAS to hand it to its
+thread pool, which numpy's bundled OpenBLAS does for a zgemm from about
+4 x 4 x 4096 multiply-adds and for a dot over 10 000 entries.  On a 2-core
+machine such calls waited 6-15 ms each for a worker thread in many fresh
+processes (3 of 16 in one batch, 4 of 8 in another), several times the
+suite's own work.  ``_gate_times`` therefore applies the gate to one slab
+of 4 rows at a time, and ``_commutator_norm`` sums the squares in dots of
+at most ``_DOT_LENGTH`` entries.  Up to that length (the spans m <= 6 and
+the adjacent pair) the sum is the one pair of dots that ``np.linalg.norm``
+takes, with its bits; the 7- and 8-site spans, whose norm is exactly 0,
+add partial sums.
 """
 
 from __future__ import annotations
@@ -50,6 +71,12 @@ _DRAWS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_dr
 #: 50 isometry rows of 8, real parts and imaginary parts of nu, R-matrix parameters.
 _DRAW_SIZES = (100, 3, 400, 100, 100, 100)
 
+#: Gates per stack of swap-conjugated commutators (see the module docstring).
+_SWAP_STACK = 25
+
+#: Entries per BLAS dot in a commutator's norm (see the module docstring).
+_DOT_LENGTH = 4096
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -60,8 +87,24 @@ class CheckResult:
 
 
 def _gate_times(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
-    """``embed(gate, site, n) @ matrix``, formed by applying the 4x4 gate to the row bits of (site, site+1)."""
-    return (gate @ matrix.reshape(2 ** (site - 1), 4, -1)).reshape(matrix.shape)
+    """``embed(gate, site, n) @ matrix``, formed by applying the 4x4 gate to the row bits of (site, site+1).
+
+    ``matrix`` may be a stack [..., 2^n, 2^n] and ``gate`` a matching stack
+    [..., 4, 4].  The gate multiplies one slab of 4 rows by 2^n columns at a
+    time, one slab per value of the other row bits, so no BLAS call exceeds
+    4 x 4 x 2^n multiply-adds (see the module docstring).
+    """
+    *stack, rows, cols = matrix.shape
+    slabs = (*stack, 2 ** (site - 1), 4, rows >> (site + 1), cols)
+    product = np.empty_like(matrix)
+    out = product.reshape(slabs).swapaxes(-3, -2)
+    np.matmul(gate[..., None, None, :, :], matrix.reshape(slabs).swapaxes(-3, -2), out=out)
+    return product
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Sum of |x|^2 over each row of ``rows`` [k, l], with the two BLAS dots per row that ``np.linalg.norm`` takes."""
+    return np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
 
 
 def _commutator_norm(gate: np.ndarray, i: int, j: int, n: int) -> float:
@@ -69,12 +112,35 @@ def _commutator_norm(gate: np.ndarray, i: int, j: int, n: int) -> float:
     m = j - i + 2
     commutator = _gate_times(gate, 1, gates.embed(gate, m - 1, m))
     commutator -= _gate_times(gate, m - 1, gates.embed(gate, 1, m))
-    return float(np.linalg.norm(commutator)) * math.sqrt(2 ** (n - m))
+    squares = _squared_norms(commutator.reshape(-1, min(commutator.size, _DOT_LENGTH)))
+    return math.sqrt(float(np.sum(squares))) * math.sqrt(2 ** (n - m))
 
 
 def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
     """max |U U^H - I| of each gate U of a stack [m, 4, 4]."""
     return np.max(np.abs(stack @ stack.conj().swapaxes(1, 2) - np.eye(4)), axis=(1, 2))
+
+
+def _swap_conjugation_defects(stack: np.ndarray) -> np.ndarray:
+    """||[U on (2, 3), S (U on (2, 3)) S]|| of each gate U of a stack [k, 4, 4], S the 4-site swap layer.
+
+    The swap layer moves the gate on sites (2, 3) onto (1, 4), a disjoint
+    pair, so each value is 0 for a correct embedding.  The gates are taken
+    ``_SWAP_STACK`` at a time (see the module docstring).
+    """
+    swaps = gates.swap_layer(4)
+    # Each entry of an embedded gate is one gate entry times identity entries, or zero:
+    # embedding the labels 1..16 once shows which entry lands where, and label 0 stays zero.
+    labels = gates.embed(np.arange(1.0, 17.0).reshape(4, 4), 2, 4).real.astype(int)
+    entries = np.concatenate([np.zeros((len(stack), 1), dtype=complex), stack.reshape(len(stack), 16)], axis=1)
+    defects = []
+    for start in range(0, len(stack), _SWAP_STACK):
+        chunk = stack[start : start + _SWAP_STACK]
+        inner = entries[start : start + _SWAP_STACK, labels]
+        outer = swaps @ inner @ swaps
+        commutators = _gate_times(chunk, 2, outer) - outer @ inner
+        defects.append(np.sqrt(_squared_norms(commutators.reshape(len(chunk), -1))))
+    return np.concatenate(defects)
 
 
 def _load_draws() -> np.ndarray:
@@ -107,13 +173,7 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
     rotations = gates.entangler_rotations(thetas)
     asserted("rotation_unitarity", float(np.max(_unitarity_defects(rotations))), 1e-14)
 
-    swaps = gates.swap_layer(4)
-    worst = 0.0
-    for gate in rotations:
-        inner = gates.embed(gate, 2, 4)
-        outer = swaps @ inner @ swaps
-        worst = max(worst, float(np.linalg.norm(_gate_times(gate, 2, outer) - outer @ inner)))
-    asserted("swap_conjugated_entangler_commutes", worst, 1e-13)
+    asserted("swap_conjugated_entangler_commutes", float(np.max(_swap_conjugation_defects(rotations))), 1e-13)
 
     worst = 0.0
     for n, angle in zip((4, 6, 8), angles):
@@ -125,21 +185,18 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
 
     info("adjacent_entangler_commutator_norm", _commutator_norm(gates.entangler_rotation(0.4), 1, 2, 4))
 
-    worst = 0.0
-    for row in raw.reshape(50, 8):
-        left = row[:4] / np.linalg.norm(row[:4])
-        right = row[4:] / np.linalg.norm(row[4:])
-        worst = max(worst, mera.IsometryParams(*left, *right).validate())
-    asserted("isometry_normalization", worst, 1e-12)
+    quads = raw.reshape(100, 4)
+    rows = (quads / np.sqrt(np.vecdot(quads, quads))[:, None]).reshape(50, 8).tolist()
+    asserted("isometry_normalization", max(mera.IsometryParams(*row).validate() for row in rows), 1e-12)
 
     worst = max(abs(w.b + w.c - 1.0) for w in map(gates.bc, real + 1j * imag))
     asserted("weight_sum_identity", worst, 1e-14)
 
-    defects = _unitarity_defects(np.stack([gates.rmatrix(lam) for lam in lams]))
+    defects = _unitarity_defects(gates.rmatrices(lams))
     asserted("rmatrix_unitary_real_parameter", float(np.max(defects)), 1e-13)
 
     fit = mera.solve_nu_fit()
-    defects = _unitarity_defects(np.stack([gates.rmatrix(nu) for nu in fit.roots]))
+    defects = _unitarity_defects(gates.rmatrices(fit.roots))
     detected("rmatrix_nonunitary_at_fit_roots", float(np.min(defects)), 1e-6)
 
     analytic = mera.solve_theta_analytic()

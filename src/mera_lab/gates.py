@@ -14,6 +14,11 @@ its 4x4 gate:
 * ``rmatrix``: the integrable-weight matrix with entries b(nu) = 2i/(nu+2i)
   and c(nu) = nu/(nu+2i) in the same block; unitary exactly when nu is real.
 
+The stacked builders :func:`entangler_rotations` and :func:`rmatrices`
+return [m, 4, 4] arrays from one ``_exchange_gates`` call, and the single
+builders are their stacks of one, so a gate has the same bits either way.
+``rmatrices`` takes each weight pair from :func:`bc`, one nu at a time.
+
 For complex nu the weight matrix is deliberately returned as-is (neither
 rejected nor rescaled): downstream state constructions renormalize, and the
 check suite reports the departure from unitarity instead of hiding it.
@@ -118,10 +123,22 @@ def rmatrix(nu: complex) -> np.ndarray:
     """Integrable-weight entangler: symmetric off-diagonal block (b, c).
 
     Unitary exactly for real nu.  For complex nu the matrix is returned
-    unaltered; callers own any renormalization.
+    unaltered; callers own any renormalization.  This is :func:`rmatrices`
+    of one parameter.
     """
-    w = bc(nu)
-    return _exchange_gates([w.b], [w.c], [w.c])[0]
+    return rmatrices([nu])[0]
+
+
+def rmatrices(nus) -> np.ndarray:
+    """Stack [m, 4, 4] of integrable-weight entanglers, one per parameter of ``nus``.
+
+    The weights come from :func:`bc`, one parameter at a time, so a pole or a
+    non-finite weight raises :class:`DomainError` as it does there.
+    """
+    weights = [bc(nu) for nu in nus]
+    b = [w.b for w in weights]
+    c = [w.c for w in weights]
+    return _exchange_gates(b, c, c)
 
 
 def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -134,9 +151,11 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
         raise ShapeError(f"site {site} out of range for {n} sites")
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n - site - 1), dtype=complex)
-    # kron(kron(left, gate), right) as one broadcast product; multiplying in kron's order
-    # keeps every bit of it, the signs of zeros included.
-    product = left[:, None, None, :, None, None] * gate[None, :, None, None, :, None] * right[None, None, :, None, None, :]
+    # kron(kron(left, gate), right), multiplied in kron's order, which keeps every bit of it,
+    # the signs of zeros included: left * gate into the one output array, then times right in place.
+    product = np.empty((len(left), 4, len(right), len(left), 4, len(right)), dtype=complex)
+    np.multiply(left[:, None, None, :, None, None], gate[None, :, None, None, :, None], out=product)
+    np.multiply(product, right[None, None, :, None, None, :], out=product)
     return product.reshape(2**n, 2**n)
 
 

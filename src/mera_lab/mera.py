@@ -79,10 +79,17 @@ class IsometryParams:
         return np.array([self.r00, self.r01, self.r10, self.r11], dtype=complex)
 
     def validate(self) -> float:
-        """The larger deviation |sum of squares - 1| of the two tensors; ``ContractError`` above 1e-12."""
+        """The larger deviation |sum of squares - 1| of the two tensors; ``ContractError`` above 1e-12.
+
+        Each sum adds the four squares left to right, the order in which
+        ``np.sum`` adds four values.
+        """
         worst = 0.0
-        for name, vec in (("left", self.left_vector()), ("right", self.right_vector())):
-            total = float(np.sum(np.abs(vec) ** 2))
+        for name, (a, b, c, d) in (
+            ("left", (self.l00, self.l01, self.l10, self.l11)),
+            ("right", (self.r00, self.r01, self.r10, self.r11)),
+        ):
+            total = float(a * a + b * b + c * c + d * d)
             deviation = abs(total - 1.0)
             if not deviation <= 1e-12:
                 raise ContractError(f"{name} tensor is not normalized: sum of squares = {total!r}")
@@ -125,13 +132,22 @@ def ir_state(iso: IsometryParams) -> np.ndarray:
     return np.kron(iso.left_vector(), iso.right_vector())
 
 
+def _check_gates(gate_array: np.ndarray, ndim: int) -> None:
+    """Raise :class:`ShapeError` unless ``gate_array`` is one 4x4 gate (``ndim`` 2) or a stack [z, 4, 4] (``ndim`` 3)."""
+    if gate_array.ndim != ndim or gate_array.shape[-2:] != (4, 4):
+        expected = "a 4x4 two-site gate" if ndim == 2 else "a stack [z, 4, 4] of two-site gates"
+        raise ShapeError(f"expected {expected}, got shape {gate_array.shape}")
+
+
 def circuit_matrix(gate: np.ndarray) -> np.ndarray:
     """The 16x16 circuit: the gate on pair (1, 4) times the gate on pair (2, 3).
 
     Each entry of the layered product (swap layer, middle gate) x 2 has at
     most one nonzero term, that same product of two gate entries, so this
-    form is bit-identical to it.
+    form is bit-identical to it.  A gate that is not 4x4 raises
+    :class:`ShapeError`.
     """
+    _check_gates(gate, 2)
     quarter = gate.reshape(2, 2, 2, 2)
     return np.einsum("adeh,bcfg->abcdefgh", quarter, quarter).reshape(16, 16)
 
@@ -185,8 +201,10 @@ def _mirrored_basis(gate_stack: np.ndarray) -> np.ndarray:
     C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with s1 = 0 and t one of the
     four IR columns are formed.  The complex products are spelled out in
     real arithmetic, as ``einsum`` forms them, because numpy's complex
-    multiply may fuse multiply-adds.
+    multiply may fuse multiply-adds.  A stack of another shape raises
+    :class:`ShapeError`.
     """
+    _check_gates(gate_stack, 3)
     z = gate_stack.shape[0]
     outer = gate_stack[:, _OUTER_ENTRIES[0], _OUTER_ENTRIES[1]]  # z, column, 1, 1, s4
     inner = gate_stack[:, _INNER_ENTRIES[0], _INNER_ENTRIES[1]]  # z, column, s2, s3, 1
@@ -249,13 +267,14 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
     ``np.vecdot``, the same BLAS dot as ``np.vdot`` and ``np.linalg.norm``.
     A non-finite gate, a vanishing q or a ratio that is not real raises
     :class:`NumericError`; a finite gate that does not conserve Sz, whose
-    overlap matrix need not be diagonal, raises :class:`ContractError`.
+    overlap matrix need not be diagonal, raises :class:`ContractError`; a
+    stack that is not [z, 4, 4] raises :class:`ShapeError`.
     """
+    basis = _mirrored_basis(gate_stack)
     if not np.isfinite(gate_stack).all():
         raise NumericError("ratio optimization failed: the gate has non-finite entries")
     if (gate_stack[:, _SZ_CHANGING] != 0.0).any():
         raise ContractError("the mirrored family needs a gate that conserves Sz")
-    basis = _mirrored_basis(gate_stack)
     h_basis = (h @ basis[..., None])[..., 0]
     hm = np.vecdot(basis[:, :, None, :], h_basis[:, None, :, :])
     values, vectors = _pencil_eigh(hm, np.vecdot(basis, basis).real)
@@ -276,8 +295,9 @@ def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.nda
     return float(energies[0]), float(ratios[0]), states[0]
 
 
+@functools.cache
 def solve_theta_analytic() -> ThetaSolution:
-    """Closed-form entangler angle matching the exact amplitude ratios.
+    """Closed-form entangler angle matching the exact amplitude ratios, computed once per process.
 
     The mirrored family carries amplitudes proportional to
     (r sin(-2 theta), -r cos(-2 theta), 1) on the states |0011>, |0101>,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,17 @@ def all_disjoint_pairs_worst() -> float:
             for j in range(i + 2, n):
                 worst = max(worst, checks._commutator_norm(gate, i, j, n))
     return worst
+
+
+def per_gate_swap_defects(rotations: np.ndarray) -> list[float]:
+    """The swap-conjugation commutator norm of each gate, one gate at a time, through ``gates.embed``."""
+    swaps = gates.swap_layer(4)
+    defects = []
+    for gate in rotations:
+        inner = gates.embed(gate, 2, 4)
+        outer = swaps @ inner @ swaps
+        defects.append(float(np.linalg.norm(checks._gate_times(gate, 2, outer) - outer @ inner)))
+    return defects
 
 
 #: Seed of the generator that ``check_draws.txt`` was frozen from.
@@ -144,6 +156,45 @@ class TestDisjointCommutators:
         monkeypatch.setattr(checks, "_commutator_norm", counted)
         checks.run_checks()
         assert calls == [(1, j, n) for n in (4, 6, 8) for j in range(3, n)] + [(1, 2, 4)]
+
+
+class TestSwapConjugation:
+    @pytest.mark.parametrize("variant", sorted(EMBEDDINGS))
+    def test_stack_equals_the_per_gate_loop_bit_for_bit(self, monkeypatch, variant):
+        monkeypatch.setattr(gates, "embed", EMBEDDINGS[variant](gates.embed))
+        rotations = gates.entangler_rotations(checks._load_draws()[:100])
+        stacked = checks._swap_conjugation_defects(rotations)
+        expected = per_gate_swap_defects(rotations)
+        assert stacked.tolist() == expected
+        # The suite fails for each broken embedding, and only for those.
+        swap_check = {c.name: c for c in checks.run_checks()}["swap_conjugated_entangler_commutes"]
+        assert swap_check.measured == max(expected)
+        assert swap_check.passed is (variant == "real")
+        assert (swap_check.measured == 0.0) is (variant == "real")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=60))
+    def test_any_angles_give_the_per_gate_values(self, thetas):
+        rotations = gates.entangler_rotations(thetas)
+        assert checks._swap_conjugation_defects(rotations).tolist() == per_gate_swap_defects(rotations)
+
+
+class TestCommutatorNorm:
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_norm_sums_the_squares_of_every_entry(self, monkeypatch, m):
+        # With the transposed embedding the commutator is nonzero on every span, disjoint ones included.
+        monkeypatch.setattr(gates, "embed", EMBEDDINGS["transposed"](gates.embed))
+        rng = np.random.default_rng(200 + m)
+        gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        commutator = checks._gate_times(gate, 1, gates.embed(gate, m - 1, m))
+        commutator -= checks._gate_times(gate, m - 1, gates.embed(gate, 1, m))
+        norm = checks._commutator_norm(gate, 1, m - 1, m)
+        assert norm > 0.0
+        if commutator.size <= checks._DOT_LENGTH:
+            # One pair of BLAS dots, the ones np.linalg.norm takes.
+            assert norm == float(np.linalg.norm(commutator))
+        else:
+            assert norm == pytest.approx(math.sqrt(float(np.sum(np.abs(commutator) ** 2))), rel=1e-13)
 
 
 class TestDrawTable:

@@ -606,6 +606,27 @@ class TestImports:
         assert done.stdout.strip() == "False"
 
 
+class TestThreadCount:
+    """The pinned bytes do not depend on how many threads OpenBLAS runs."""
+
+    @staticmethod
+    def run_single_threaded(*argv: str) -> subprocess.CompletedProcess:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "mera_lab.cli", *argv], env=env, capture_output=True, text=True)
+
+    def test_optimize_payload_with_one_blas_thread(self, tmp_path):
+        out = tmp_path / "report.json"
+        done = self.run_single_threaded("optimize", "--entangler", "rotation", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(payload_section(out).encode()).hexdigest() == PAYLOAD_SHA256["rotation"]
+
+    def test_ed_stdout_with_one_blas_thread(self):
+        done = self.run_single_threaded("ed", "--sites", "12")
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == ED_STDOUT_SHA256[12, "periodic"]
+
+
 class TestMainModule:
     """``python -m mera_lab.cli``: the ``__main__`` guard passes ``main``'s return value on as the exit code."""
 

@@ -312,6 +312,11 @@ class TestBuilderInput:
         with pytest.raises(DomainError):
             gates.rmatrix(-2j)
 
+    @pytest.mark.parametrize("nus", [[-2j], [0.5, -2j, 1.0], [1.0, -2j + 1e-13], np.array([0.3, math.nan])])
+    def test_rmatrix_stack_refuses_a_pole_or_non_finite_parameter(self, nus):
+        with pytest.raises(DomainError):
+            gates.rmatrices(nus)
+
     @pytest.mark.parametrize("nu", [math.nan, complex(math.inf, 0.0), complex(0.0, math.nan)])
     def test_rmatrix_refuses_non_finite_parameter(self, nu):
         with pytest.raises(DomainError, match="not finite"):
@@ -363,3 +368,10 @@ class TestGateBytes:
     def test_rmatrix(self, nu):
         w = gates.bc(nu)
         assert_same_bytes(gates.rmatrix(nu), exchange_reference(w.b, w.c, w.c))
+
+    def test_rmatrix_stack(self):
+        nus = [0.0, -0.0, 1.5, *mera.solve_nu_fit().roots, 2.0 * np.sqrt(3.0) - 4j, 1e300, -7.25]
+        expected = np.stack([exchange_reference(gates.bc(nu).b, gates.bc(nu).c, gates.bc(nu).c) for nu in nus])
+        assert_same_bytes(gates.rmatrices(nus), expected)
+        assert_same_bytes(gates.rmatrices(nus), np.stack([gates.rmatrix(nu) for nu in nus]))
+        assert_same_bytes(gates.rmatrices(np.array(nus)), expected)

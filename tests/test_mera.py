@@ -324,6 +324,32 @@ class TestCircuitMatrix:
             assert np.array_equal(mera.circuit_matrix(gate), layered_circuit(gate))
 
 
+class TestGateShape:
+    # A gate that is not 4x4 is refused where it enters, with the ShapeError that gates.embed raises.
+    BAD = np.eye(3, dtype=complex)
+
+    def test_circuit_matrix(self):
+        with pytest.raises(ShapeError, match="4x4"):
+            mera.circuit_matrix(self.BAD)
+
+    def test_trial_state(self):
+        with pytest.raises(ShapeError, match="4x4"):
+            mera.trial_state(self.BAD, mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8))
+
+    def test_variational_state(self):
+        with pytest.raises(ShapeError, match="4, 4"):
+            mera.variational_state(self.BAD, 2.0)
+
+    def test_optimal_ratio(self, h4):
+        with pytest.raises(ShapeError, match="4, 4"):
+            mera.optimal_ratio(self.BAD, h4)
+
+    @pytest.mark.parametrize("stack", [BAD[None], np.eye(4, dtype=complex), np.zeros((2, 4, 3), dtype=complex)])
+    def test_optimal_ratios(self, h4, stack):
+        with pytest.raises(ShapeError, match="4, 4"):
+            mera.optimal_ratios(stack, h4)
+
+
 class TestMirroredBasis:
     @settings(deadline=None)
     @given(thetas=st.lists(ANGLES, min_size=1, max_size=8), nus=st.lists(SPECTRAL_PARAMETERS, min_size=1, max_size=8))
