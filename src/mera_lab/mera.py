@@ -32,6 +32,12 @@ once (:func:`_pencil_eigh`), each with the same bits as a solve of that gate
 alone; :func:`optimal_ratio` is the stack of one.  The numeric angle search
 and the CLI sweep pass their angle grids through it in a few calls, and the
 package imports no scipy.
+
+Batching keeps every bit of the one-gate, one-state steps because the same
+numpy primitive carries them: ``np.einsum`` forms the gate products of both
+the circuit and the mirrored family, ``np.vecdot`` is the BLAS dot of
+``np.vdot``, and ``np.float_power`` squares a fidelity's modulus with libm
+``pow``.
 """
 
 from __future__ import annotations
@@ -180,13 +186,6 @@ def variational_state(gate: np.ndarray, r: float) -> np.ndarray:
     return psi / norm
 
 
-#: Gate entries (row index array, column index array) that the mirrored basis
-#: needs, for the gate on sites (1, 4) with site 1 up and for the gate on
-#: sites (2, 3).  The four columns are, in order, the IR states |0101> and
-#: |1010> (amplitude u), then |0110> and |1001> (amplitude q).
-_OUTER_ENTRIES = (np.arange(2).reshape(1, 1, 1, 2), np.array([1, 2, 0, 3]).reshape(4, 1, 1, 1))
-_INNER_ENTRIES = (np.arange(4).reshape(1, 2, 2, 1), np.array([2, 1, 3, 0]).reshape(4, 1, 1, 1))
-
 #: Entries of a 4x4 gate between two-site states of different Sz (|00>, |01>, |10>, |11>).
 _SZ_CHANGING = np.array([0, 1, 1, 2])[:, None] != np.array([0, 1, 1, 2])[None, :]
 
@@ -199,23 +198,20 @@ def _mirrored_basis(gate_stack: np.ndarray) -> np.ndarray:
     image.  Returns an array [z, 2, 16], equal bit for bit to that product
     with :func:`circuit_matrix`.  Only the circuit entries
     C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with s1 = 0 and t one of the
-    four IR columns are formed.  The complex products are spelled out in
-    real arithmetic, as ``einsum`` forms them, because numpy's complex
-    multiply may fuse multiply-adds.  A stack of another shape raises
-    :class:`ShapeError`.
+    four IR columns are formed, in one ``np.einsum`` over the pair of IR
+    columns that share an amplitude: the primitive of :func:`circuit_matrix`,
+    so the products and their pair sums carry its bits.  A stack of another
+    shape raises :class:`ShapeError`.
     """
     _check_gates(gate_stack, 3)
-    z = gate_stack.shape[0]
-    outer = gate_stack[:, _OUTER_ENTRIES[0], _OUTER_ENTRIES[1]]  # z, column, 1, 1, s4
-    inner = gate_stack[:, _INNER_ENTRIES[0], _INNER_ENTRIES[1]]  # z, column, s2, s3, 1
-    products = np.empty((z, 4, 2, 2, 2), dtype=complex)
-    products.real = outer.real * inner.real - outer.imag * inner.imag
-    products.imag = outer.real * inner.imag + outer.imag * inner.real
-    pairs = products.reshape(z, 2, 2, 8)
+    # IR columns |0101>, |1010> (amplitude u), then |0110>, |1001> (amplitude q):
+    # outer [z, s4, u/q, pair] of U[s1 s4, t1 t4] at s1 = 0, inner [z, s2, s3, u/q, pair].
+    outer = gate_stack[:, :2, [1, 2, 0, 3]].reshape(-1, 2, 2, 2)
+    inner = gate_stack[:, :, [2, 1, 3, 0]].reshape(-1, 2, 2, 2, 2)
     # The BLAS dots that use these rows need them contiguous, as the per-gate
-    # vectors were.  Adding 0.0 turns -0.0 into the +0.0 of the matrix product.
-    basis = np.empty((z, 2, 16), dtype=complex)
-    basis[..., :8] = pairs[:, :, 0] + pairs[:, :, 1] + 0.0
+    # vectors were.
+    basis = np.empty((len(gate_stack), 2, 16), dtype=complex)
+    basis[..., :8] = np.einsum("zdkp,zbckp->zkbcd", outer, inner).reshape(-1, 2, 8)
     basis[..., 8:] = basis[..., 7::-1]
     return basis
 
@@ -325,9 +321,9 @@ def solve_theta_numeric() -> ThetaSolution:
     closed-form 2x2 eigenproblem: coarse grid bracketing, bounded scalar
     minimization to 1e-12 in theta, then a parabolic vertex fit to average
     out the flat floating-point floor around the minimum.  The 999 grid
-    angles are solved in one :func:`optimal_ratios` call; the bounded step
-    and the parabola evaluate one angle at a time.  The bounded step is an
-    in-package Brent minimizer that follows scipy's
+    angles are solved in one :func:`optimal_ratios` call, the bounded step
+    one angle at a time, and the parabola's three points in one call.  The
+    bounded step is an in-package Brent minimizer that follows scipy's
     ``minimize_scalar(method="bounded")`` step for step.  The energy has
     period pi/2: the gate at theta + pi/2 is the gate at theta after a signed
     swap, which maps the flip-symmetric IR family onto itself (u -> -u).
@@ -345,7 +341,8 @@ def solve_theta_numeric() -> ThetaSolution:
     theta = float(_minimize_bounded(energy_at, grid[k - 1], grid[k + 1], xatol=1e-12))
 
     step = 1e-5
-    e_minus, e_zero, e_plus = energy_at(theta - step), energy_at(theta), energy_at(theta + step)
+    points = gates.entangler_rotations([theta - step, theta, theta + step])
+    e_minus, e_zero, e_plus = map(float, optimal_ratios(points, h)[0])
     curvature = e_minus - 2.0 * e_zero + e_plus
     if curvature > 0.0:
         theta += 0.5 * step * (e_minus - e_plus) / curvature
@@ -464,21 +461,25 @@ def fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
     ``np.vdot``.  The modulus of each overlap is ``np.hypot`` of its parts,
     which is libm ``hypot`` like the ``abs`` of a numpy complex scalar; numpy's
     array ``abs`` of a complex array differs in the last bit for about a third
-    of random complex numbers.  The modulus is squared with libm ``pow``, which
-    is what ``** 2`` of a numpy float64 scalar runs; the array square x * x
-    differs in rare cases (15 of the 20 001 rows of a sweep over [-3, 3]).
+    of random complex numbers.  The modulus is squared with ``np.float_power``,
+    which calls libm ``pow`` as ``** 2`` of a numpy float64 scalar does;
+    ``np.power`` and ``**`` of an array take the x * x fast path, which differs
+    in rare cases (15 of the 20 001 rows of a sweep over [-3, 3]).  A row or
+    target with a non-finite entry raises :class:`DomainError`, as a zero
+    vector does.
     """
     states = np.asarray(states, dtype=complex)
     target = np.asarray(target, dtype=complex)
     if states.ndim != 2 or states.shape[1:] != target.shape:
         raise ShapeError(f"rows of shape {states.shape[1:]} and a target of shape {target.shape} cannot overlap")
+    if not (np.isfinite(states).all() and np.isfinite(target).all()):
+        raise DomainError("fidelity of a vector with non-finite entries is undefined")
     norms = np.vecdot(states, states).real
     target_norm = float(np.vdot(target, target).real)
     if (norms <= 0.0).any() or target_norm <= 0.0:
         raise DomainError("fidelity of a zero vector is undefined")
     overlaps = np.vecdot(states, target)
-    moduli = np.hypot(overlaps.real, overlaps.imag).tolist()
-    return np.array([math.pow(x, 2.0) for x in moduli]) / (norms * target_norm)
+    return np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0) / (norms * target_norm)
 
 
 def entanglement_entropy(psi: np.ndarray, cut: int) -> float:
@@ -496,15 +497,19 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
     in one stacked SVD; normalized squared singular values at or below 1e-15
     are dropped.  The rows are summed in groups that keep the same number of
     weights, so each entropy equals, bit for bit, the sum over that row's
-    kept weights alone.
+    kept weights alone.  A non-finite amplitude raises :class:`DomainError`
+    before the SVD.
     """
     states = np.asarray(states, dtype=complex)
-    dim = states.shape[-1]
-    n = dim.bit_length() - 1
-    if states.ndim != 2 or 2 ** n != dim:
-        raise ShapeError(f"state length {dim} is not a power of two")
+    if states.ndim != 2:
+        raise ShapeError(f"expected a stack [z, 2**n] of state vectors, got shape {states.shape}")
+    n = states.shape[1].bit_length() - 1
+    if 2 ** n != states.shape[1]:
+        raise ShapeError(f"state length {states.shape[1]} is not a power of two")
     if not 1 <= cut < n:
         raise ShapeError(f"cut {cut} invalid for {n} sites")
+    if not np.isfinite(states).all():
+        raise DomainError("entropy of a state with non-finite amplitudes is undefined")
     singulars = np.linalg.svd(states.reshape(len(states), 2 ** cut, -1), compute_uv=False)
     weights = singulars ** 2
     totals = weights.sum(axis=-1)

@@ -143,6 +143,9 @@ def bit_equal(a, b) -> bool:
 
 ANGLES = st.floats(-4.0, 4.0)
 SPECTRAL_PARAMETERS = st.complex_numbers(max_magnitude=10.0).filter(lambda nu: abs(nu + 2j) >= 1e-6)
+# Parts up to 1e150 keep every pair sum of two products finite; zeros of both signs are drawn often.
+GATE_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150))
+GATE_ENTRIES = st.builds(complex, GATE_PARTS, GATE_PARTS)
 
 
 def random_iso(rng: np.random.Generator) -> mera.IsometryParams:
@@ -352,9 +355,15 @@ class TestGateShape:
 
 class TestMirroredBasis:
     @settings(deadline=None)
-    @given(thetas=st.lists(ANGLES, min_size=1, max_size=8), nus=st.lists(SPECTRAL_PARAMETERS, min_size=1, max_size=8))
-    def test_equals_the_circuit_columns_bit_for_bit(self, thetas, nus):
-        stack = np.array([gates.entangler_rotation(t) for t in thetas] + [gates.rmatrix(nu) for nu in nus])
+    @given(
+        thetas=st.lists(ANGLES, min_size=1, max_size=8),
+        nus=st.lists(SPECTRAL_PARAMETERS, min_size=1, max_size=8),
+        entries=st.lists(st.lists(GATE_ENTRIES, min_size=16, max_size=16), max_size=8),
+    )
+    def test_equals_the_circuit_columns_bit_for_bit(self, thetas, nus, entries):
+        # Rotations and R-matrices, then arbitrary complex gates with zeros of both signs.
+        named = [gates.entangler_rotation(t) for t in thetas] + [gates.rmatrix(nu) for nu in nus]
+        stack = np.concatenate([named, np.array(entries, dtype=complex).reshape(-1, 4, 4)])
         for gate, pair in zip(stack, mera._mirrored_basis(stack)):
             reference = reference_basis(gate)
             assert bit_equal(pair[0], reference[0])
@@ -560,6 +569,25 @@ class TestThetaSolvers:
         assert solves <= 1100
         assert calls <= 100
 
+    def test_numeric_search_call_shapes(self, monkeypatch):
+        # The grid in one call, Brent one angle at a time, the parabola's three points, the final solve.
+        cached = mera.solve_theta_numeric()
+        sizes = []
+        original = mera.optimal_ratios
+
+        def recording(gate_stack, h):
+            sizes.append(len(gate_stack))
+            return original(gate_stack, h)
+
+        monkeypatch.setattr(mera, "optimal_ratios", recording)
+        mera.solve_theta_numeric.cache_clear()
+        solution = mera.solve_theta_numeric()
+        assert solution == cached
+        assert all(type(value) is float for value in (solution.theta, solution.r, solution.energy, solution.fidelity))
+        assert sizes[0] == 999
+        assert sizes[-2:] == [3, 1]
+        assert len(sizes) > 3 and set(sizes[1:-2]) == {1}
+
     def test_energy_stationary_at_optimum(self, h4):
         sol = mera.solve_theta_analytic()
         step = 1e-4
@@ -668,6 +696,20 @@ class TestFidelity:
         with pytest.raises(DomainError):
             mera.fidelity(np.zeros(4), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, exact_ground, bad):
+        _, ground = exact_ground
+        spoiled = ground.copy()
+        spoiled[3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            mera.fidelity(spoiled, ground)
+        with pytest.raises(DomainError, match="finite"):
+            mera.fidelity(ground, spoiled)
+        with pytest.raises(DomainError, match="finite"):
+            mera.fidelities(np.array([ground, spoiled]), ground)
+        with pytest.raises(DomainError, match="finite"):
+            mera.fidelities(np.array([ground, ground]), spoiled)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mera.fidelity(np.ones(4), np.ones(8))
@@ -736,6 +778,21 @@ class TestEntanglementEntropy:
             mera.entanglement_entropy(np.ones(16), 4)
         with pytest.raises(ShapeError):
             mera.entanglement_entropy(np.ones((2, 16)), 2)
+
+    def test_stack_that_is_not_2d_names_its_shape(self):
+        for bad in (np.ones(16), np.ones((2, 2, 16))):
+            with pytest.raises(ShapeError, match=r"stack \[z, 2\*\*n\].*shape"):
+                mera.entanglement_entropies(bad, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_state_rejected_before_the_svd(self, exact_ground, bad):
+        _, ground = exact_ground
+        spoiled = ground.copy()
+        spoiled[5] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            mera.entanglement_entropy(spoiled, 2)
+        with pytest.raises(DomainError, match="non-finite"):
+            mera.entanglement_entropies(np.array([ground, spoiled]), 2)
 
     @pytest.mark.parametrize(("n", "cut"), [(4, 1), (4, 2), (6, 3), (8, 4), (8, 2)])
     def test_stacked_rows_equal_the_single_state_reference(self, n, cut):
