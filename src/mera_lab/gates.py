@@ -18,6 +18,8 @@ The stacked builders :func:`entangler_rotations` and :func:`rmatrices`
 return [m, 4, 4] arrays from one ``_exchange_gates`` call, and the single
 builders are their stacks of one, so a gate has the same bits either way.
 ``rmatrices`` takes each weight pair from :func:`bc`, one nu at a time.
+:func:`embed` likewise takes one gate or a stack [..., 4, 4], and each
+embedded gate of a stack has the bits of that gate embedded alone.
 
 For complex nu the weight matrix is deliberately returned as-is (neither
 rejected nor rescaled): downstream state constructions renormalize, and the
@@ -142,10 +144,13 @@ def rmatrices(nus) -> np.ndarray:
 
 
 def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a two-site gate at 1-based position (site, site+1) of n sites."""
+    """Embed a two-site gate, or each gate of a stack [..., 4, 4], at 1-based position (site, site+1) of n sites.
+
+    Returns [..., 2^n, 2^n]; each gate of a stack gets the bits of embedding it alone.
+    """
     gate = np.asarray(gate)
-    if gate.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 two-site gate, got {gate.shape}")
+    if gate.shape[-2:] != (4, 4):
+        raise ShapeError(f"expected a 4x4 two-site gate or a stack [..., 4, 4] of them, got {gate.shape}")
     _check_site_count(n)
     if not 1 <= site <= n - 1:
         raise ShapeError(f"site {site} out of range for {n} sites")
@@ -153,10 +158,11 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
     right = np.eye(2 ** (n - site - 1), dtype=complex)
     # kron(kron(left, gate), right), multiplied in kron's order, which keeps every bit of it,
     # the signs of zeros included: left * gate into the one output array, then times right in place.
-    product = np.empty((len(left), 4, len(right), len(left), 4, len(right)), dtype=complex)
-    np.multiply(left[:, None, None, :, None, None], gate[None, :, None, None, :, None], out=product)
+    stack = gate.shape[:-2]
+    product = np.empty((*stack, len(left), 4, len(right), len(left), 4, len(right)), dtype=complex)
+    np.multiply(left[:, None, None, :, None, None], gate[..., None, :, None, None, :, None], out=product)
     np.multiply(product, right[None, None, :, None, None, :], out=product)
-    return product.reshape(2**n, 2**n)
+    return product.reshape(*stack, 2**n, 2**n)
 
 
 def swap_layer(n: int) -> np.ndarray:

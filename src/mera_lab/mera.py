@@ -466,7 +466,8 @@ def fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
     ``np.power`` and ``**`` of an array take the x * x fast path, which differs
     in rare cases (15 of the 20 001 rows of a sweep over [-3, 3]).  A row or
     target with a non-finite entry raises :class:`DomainError`, as a zero
-    vector does.
+    vector does, and so do finite vectors whose squared norms, or the
+    product of a row's and the target's, overflow.
     """
     states = np.asarray(states, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -474,12 +475,16 @@ def fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise ShapeError(f"rows of shape {states.shape[1:]} and a target of shape {target.shape} cannot overlap")
     if not (np.isfinite(states).all() and np.isfinite(target).all()):
         raise DomainError("fidelity of a vector with non-finite entries is undefined")
-    norms = np.vecdot(states, states).real
-    target_norm = float(np.vdot(target, target).real)
+    with np.errstate(over="ignore"):
+        norms = np.vecdot(states, states).real
+        target_norm = float(np.vdot(target, target).real)
+        scales = norms * target_norm
     if (norms <= 0.0).any() or target_norm <= 0.0:
         raise DomainError("fidelity of a zero vector is undefined")
+    if not np.isfinite(scales).all():
+        raise DomainError("fidelity of vectors whose squared norms overflow is undefined")
     overlaps = np.vecdot(states, target)
-    return np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0) / (norms * target_norm)
+    return np.float_power(np.hypot(overlaps.real, overlaps.imag), 2.0) / scales
 
 
 def entanglement_entropy(psi: np.ndarray, cut: int) -> float:
@@ -498,7 +503,8 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
     are dropped.  The rows are summed in groups that keep the same number of
     weights, so each entropy equals, bit for bit, the sum over that row's
     kept weights alone.  A non-finite amplitude raises :class:`DomainError`
-    before the SVD.
+    before the SVD, and a finite state whose squared norm overflows raises it
+    after; an empty stack gives an empty array.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2:
@@ -510,11 +516,14 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
         raise ShapeError(f"cut {cut} invalid for {n} sites")
     if not np.isfinite(states).all():
         raise DomainError("entropy of a state with non-finite amplitudes is undefined")
-    singulars = np.linalg.svd(states.reshape(len(states), 2 ** cut, -1), compute_uv=False)
-    weights = singulars ** 2
-    totals = weights.sum(axis=-1)
+    singulars = np.linalg.svd(states.reshape(len(states), 2 ** cut, 2 ** (n - cut)), compute_uv=False)
+    with np.errstate(over="ignore"):
+        weights = singulars ** 2
+        totals = weights.sum(axis=-1)
     if (totals <= 0.0).any():
         raise DomainError("entropy of a zero vector is undefined")
+    if not np.isfinite(totals).all():
+        raise DomainError("entropy of a state whose squared norm overflows is undefined")
     weights = weights / totals[:, None]
     # Singular values come in descending order, so the kept weights are a prefix.
     kept = np.count_nonzero(weights > 1e-15, axis=-1)

@@ -37,7 +37,7 @@ EMBEDDINGS = {
     "real": lambda embed: embed,
     "left": lambda embed: lambda gate, site, n: embed(gate, max(1, site - 1), n),
     "right": lambda embed: lambda gate, site, n: embed(gate, min(n - 1, site + 1), n),
-    "transposed": lambda embed: lambda gate, site, n: embed(gate.T, site, n),
+    "transposed": lambda embed: lambda gate, site, n: embed(np.swapaxes(gate, -1, -2), site, n),
 }
 
 

@@ -217,6 +217,22 @@ class TestEmbed:
                 assert embedded.dtype == expected.dtype
                 assert np.array_equal(embedded.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stack_slices_equal_single_embeddings_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        signed = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        signed[0, 0, 0] = complex(-0.0, -0.0)
+        signed[1, 1, 2] = complex(0.0, -0.0)
+        signed[2, 3, 1] = complex(-0.0, 0.0)
+        stack = np.concatenate([gates.entangler_rotations(rng.uniform(-np.pi, np.pi, 2)), signed])
+        for site in range(1, n):
+            embedded = gates.embed(stack, site, n)
+            assert embedded.shape == (len(stack), 2**n, 2**n)
+            for gate, plane in zip(stack, embedded):
+                assert np.array_equal(plane.view(np.uint64), gates.embed(gate, site, n).view(np.uint64))
+        # A stack of stacks keeps its leading axes.
+        assert np.array_equal(gates.embed(stack.reshape(5, 1, 4, 4), 1, n)[:, 0], gates.embed(stack, 1, n))
+
     def test_position_out_of_range(self):
         with pytest.raises(ShapeError):
             gates.embed(I4, 4, 4)
@@ -226,6 +242,10 @@ class TestEmbed:
     def test_wrong_gate_shape(self):
         with pytest.raises(ShapeError):
             gates.embed(np.eye(8), 1, 4)
+        with pytest.raises(ShapeError):
+            gates.embed(np.zeros((3, 8, 8)), 1, 4)
+        with pytest.raises(ShapeError):
+            gates.embed(np.zeros(16), 1, 4)
 
     def test_oversize_register(self):
         with pytest.raises(ResourceError):

@@ -710,6 +710,19 @@ class TestFidelity:
         with pytest.raises(DomainError, match="finite"):
             mera.fidelities(np.array([ground, ground]), spoiled)
 
+    def test_overflowing_state_norm_rejected(self, exact_ground):
+        _, ground = exact_ground
+        with pytest.raises(DomainError, match="overflow"):
+            mera.fidelity(1e200 * ground, ground)
+        with pytest.raises(DomainError, match="overflow"):
+            mera.fidelities(np.array([ground, 1e200 * ground]), ground)
+
+    def test_overflowing_norm_product_rejected(self, exact_ground):
+        # Each squared norm is 1e200, finite; their product is not.
+        _, ground = exact_ground
+        with pytest.raises(DomainError, match="overflow"):
+            mera.fidelity(1e100 * ground, 1e100 * ground)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mera.fidelity(np.ones(4), np.ones(8))
@@ -783,6 +796,19 @@ class TestEntanglementEntropy:
         for bad in (np.ones(16), np.ones((2, 2, 16))):
             with pytest.raises(ShapeError, match=r"stack \[z, 2\*\*n\].*shape"):
                 mera.entanglement_entropies(bad, 2)
+
+    def test_overflowing_squared_norm_rejected(self, exact_ground):
+        _, ground = exact_ground
+        assert mera.entanglement_entropy(1e150 * ground, 2) == pytest.approx(mera.entanglement_entropy(ground, 2))
+        with pytest.raises(DomainError, match="overflow"):
+            mera.entanglement_entropy(1e200 * ground, 2)
+        with pytest.raises(DomainError, match="overflow"):
+            mera.entanglement_entropies(np.array([ground, 1e200 * ground]), 2)
+
+    def test_empty_stack_gives_empty_array(self):
+        entropies = mera.entanglement_entropies(np.zeros((0, 16)), 2)
+        assert entropies.shape == (0,)
+        assert entropies.dtype == np.float64
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
     def test_non_finite_state_rejected_before_the_svd(self, exact_ground, bad):
