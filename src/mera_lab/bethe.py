@@ -13,6 +13,7 @@ normalization used in :mod:`mera_lab.heisenberg` (no shift, coupling 1).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,11 @@ class BetheRoots:
 
 
 def bethe_residual(roots: list[complex] | tuple[complex, ...], L: int) -> list[complex]:
-    """Per-root residual LHS - RHS of the Bethe system; zero iff solved."""
+    """Per-root residual LHS - RHS of the Bethe system; zero iff solved.
+
+    A rapidity on a pole, or one that leaves a residual non-finite, raises
+    :class:`DomainError`.
+    """
     roots = [complex(r) for r in roots]
     for lam in roots:
         if abs(lam - 1j) < _POLE_TOL or abs(lam + 1j) < _POLE_TOL:
@@ -49,6 +54,9 @@ def bethe_residual(roots: list[complex] | tuple[complex, ...], L: int) -> list[c
             if k != j:
                 rhs *= (lj - lk + 2j) / (lj - lk - 2j)
         out.append(lhs - rhs)
+    # A non-finite rapidity, or a difference of two that overflows, leaves NaN here.
+    if not all(cmath.isfinite(r) for r in out):
+        raise DomainError(f"rapidities {roots} give a non-finite residual")
     return out
 
 
@@ -87,7 +95,7 @@ def solve_two_magnon() -> BetheRoots:
     return BetheRoots(roots=(complex(lam), complex(-lam)), residual_norm=float(residual_norm))
 
 
-def one_magnon_roots(L: int = 4) -> list[float]:
+def one_magnon_roots(L: int) -> list[float]:
     """Finite rapidities of the single-magnon states: cot(pi m / L), m = 1..L-1.
 
     The momentum-zero state corresponds to an infinite rapidity and is left
@@ -98,14 +106,25 @@ def one_magnon_roots(L: int = 4) -> list[float]:
     return [float(1.0 / np.tan(np.pi * m / L)) for m in range(1, L)]
 
 
+def _real_rapidity(lam: complex) -> float:
+    """The real part of a finite rapidity whose imaginary part is below _REAL_TOL."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise DomainError(f"rapidity {lam} is not finite")
+    if abs(lam.imag) > _REAL_TOL:
+        raise DomainError(f"momentum and energy are defined for real rapidities, got {lam}")
+    return lam.real
+
+
 def momenta_from_roots(roots: list[complex] | tuple[complex, ...]) -> list[float]:
-    """Momenta p_j in (-pi, pi] with e^{ip_j} = (lambda_j + i)/(lambda_j - i)."""
+    """Momenta p_j in (-pi, pi] with e^{ip_j} = (lambda_j + i)/(lambda_j - i).
+
+    A complex or non-finite rapidity raises :class:`DomainError`.
+    """
     out = []
     for lam in roots:
-        lam = complex(lam)
-        if abs(lam.imag) > _REAL_TOL:
-            raise DomainError(f"momentum is defined for real rapidities, got {lam}")
-        p = float(np.angle((lam.real + 1j) / (lam.real - 1j)))
+        lam = _real_rapidity(lam)
+        p = float(np.angle((lam + 1j) / (lam - 1j)))
         if p <= -np.pi:
             p += 2.0 * np.pi
         out.append(p)
@@ -113,11 +132,16 @@ def momenta_from_roots(roots: list[complex] | tuple[complex, ...]) -> list[float
 
 
 def energy_from_roots(roots: list[complex] | tuple[complex, ...], L: int) -> float:
-    """Chain energy L/4 - sum_j 2/(lambda_j^2 + 1) for real roots."""
+    """Chain energy L/4 - sum_j 2/(lambda_j^2 + 1) for real roots.
+
+    A complex or non-finite rapidity, or one whose square overflows, raises
+    :class:`DomainError`.
+    """
     total = L / 4.0
     for lam in roots:
-        lam = complex(lam)
-        if abs(lam.imag) > _REAL_TOL:
-            raise DomainError(f"energy from complex rapidities is unsupported, got {lam}")
-        total -= 2.0 / (lam.real ** 2 + 1.0)
+        lam = _real_rapidity(lam)
+        try:
+            total -= 2.0 / (lam ** 2 + 1.0)
+        except OverflowError:
+            raise DomainError(f"rapidity {lam!r} is too large to square") from None
     return float(total)

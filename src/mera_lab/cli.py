@@ -5,10 +5,10 @@ Exit codes: 0 on success, 1 on numeric or check failure (including I/O
 problems writing outputs), 2 on usage errors.  ``optimize`` writes its report
 even when a check of the suite fails, then exits 1.
 
-Tolerance precedence for ``check`` and ``optimize``: --tolerance flag, then the
-MERA_LAB_TOLERANCE environment variable, then each check's built-in default.
-A tolerance that is not a positive finite number (flag or environment), a
-sweep range whose bounds or span are not finite and a sweep ``--steps``
+Every output, except the report's ``generated_at`` stamp, depends on the
+command line alone.  For ``check`` and ``optimize``, --tolerance replaces each
+check's built-in tolerance.  A tolerance that is not a positive finite number,
+a sweep range whose bounds or span are not finite and a sweep ``--steps``
 outside 1..MAX_SWEEP_STEPS are usage errors, as is an unsupported size
 (``ResourceError``, such as ``ed --sites`` outside heisenberg's
 2..MAX_SITES).  Only these exit 2: any other error raised while solving, a
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,8 +29,6 @@ import numpy as np
 from . import bethe, checks, gates, mera, report, wavelet
 from .errors import MeraLabError, ResourceError
 from .heisenberg import BoundaryCondition, four_site_ring, ground_degeneracy, sector_hamiltonian, sector_spectra
-
-_ENV_TOLERANCE = "MERA_LAB_TOLERANCE"
 
 #: Largest ``sweep --steps``; the CSV text of a sweep this long is about 100 MB.
 MAX_SWEEP_STEPS = 1_000_000
@@ -53,20 +50,12 @@ _SIGNED_FLOAT_OPTIONS = ("--theta-min", "--theta-max", "--tolerance")
 
 
 class UsageError(Exception):
-    """A bad command-line argument or environment value; the CLI exits 2."""
+    """A bad command-line argument; the CLI exits 2."""
 
 
 def _resolve_tolerance(args: argparse.Namespace) -> float | None:
     tolerance = args.tolerance
-    if tolerance is None:
-        raw = os.environ.get(_ENV_TOLERANCE)
-        if raw is None:
-            return None
-        try:
-            tolerance = float(raw)
-        except ValueError:
-            raise UsageError(f"{_ENV_TOLERANCE}={raw!r}: tolerance must be a positive finite number") from None
-    if not 0.0 < tolerance < math.inf:
+    if tolerance is not None and not 0.0 < tolerance < math.inf:
         raise UsageError("tolerance must be a positive finite number")
     return tolerance
 

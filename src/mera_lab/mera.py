@@ -55,6 +55,9 @@ from .heisenberg import four_site_ring
 #: Norm below which a constructed state counts as degenerate.
 _DEGENERATE_NORM = 1e-12
 
+#: Smallest normal float: a squared norm or weight below it has lost significant bits.
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class IsometryParams:
@@ -465,9 +468,10 @@ def fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
     which calls libm ``pow`` as ``** 2`` of a numpy float64 scalar does;
     ``np.power`` and ``**`` of an array take the x * x fast path, which differs
     in rare cases (15 of the 20 001 rows of a sweep over [-3, 3]).  A row or
-    target with a non-finite entry raises :class:`DomainError`, as a zero
-    vector does, and so do finite vectors whose squared norms, or the
-    product of a row's and the target's, overflow.
+    target with a non-finite entry raises :class:`DomainError`, and so do
+    finite vectors whose squared norms, or the product of a row's and the
+    target's, overflow or fall below ``np.finfo(float).tiny`` (a zero vector
+    included), where the quotient would lose its precision.
     """
     states = np.asarray(states, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -479,8 +483,8 @@ def fidelities(states: np.ndarray, target: np.ndarray) -> np.ndarray:
         norms = np.vecdot(states, states).real
         target_norm = float(np.vdot(target, target).real)
         scales = norms * target_norm
-    if (norms <= 0.0).any() or target_norm <= 0.0:
-        raise DomainError("fidelity of a zero vector is undefined")
+    if (norms < _TINY).any() or target_norm < _TINY or (scales < _TINY).any():
+        raise DomainError("fidelity of a zero vector, or of vectors whose squared norms underflow, is undefined")
     if not np.isfinite(scales).all():
         raise DomainError("fidelity of vectors whose squared norms overflow is undefined")
     overlaps = np.vecdot(states, target)
@@ -503,8 +507,10 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
     are dropped.  The rows are summed in groups that keep the same number of
     weights, so each entropy equals, bit for bit, the sum over that row's
     kept weights alone.  A non-finite amplitude raises :class:`DomainError`
-    before the SVD, and a finite state whose squared norm overflows raises it
-    after; an empty stack gives an empty array.
+    before the SVD.  After it, so does a state whose squared norm overflows
+    or falls below ``np.finfo(float).tiny`` (a zero state included), and one
+    with a kept squared singular value below it, whose weight would lose its
+    precision.  An empty stack gives an empty array.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2:
@@ -518,15 +524,17 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
         raise DomainError("entropy of a state with non-finite amplitudes is undefined")
     singulars = np.linalg.svd(states.reshape(len(states), 2 ** cut, 2 ** (n - cut)), compute_uv=False)
     with np.errstate(over="ignore"):
-        weights = singulars ** 2
-        totals = weights.sum(axis=-1)
-    if (totals <= 0.0).any():
-        raise DomainError("entropy of a zero vector is undefined")
+        squares = singulars ** 2
+        totals = squares.sum(axis=-1)
+    if (totals < _TINY).any():
+        raise DomainError("entropy of a zero vector, or of a state whose squared norm underflows, is undefined")
     if not np.isfinite(totals).all():
         raise DomainError("entropy of a state whose squared norm overflows is undefined")
-    weights = weights / totals[:, None]
+    weights = squares / totals[:, None]
     # Singular values come in descending order, so the kept weights are a prefix.
     kept = np.count_nonzero(weights > 1e-15, axis=-1)
+    if (squares[np.arange(len(states)), kept - 1] < _TINY).any():
+        raise DomainError("entropy of a state whose kept squared singular values underflow is undefined")
     entropies = np.empty(len(states))
     # Grouping through a set, not np.unique, keeps numpy.ma from being imported.
     for count in sorted(set(kept.tolist())):

@@ -22,12 +22,6 @@ GROUND_PATTERN = np.array([1.0, -2.0, 1.0, 1.0, -2.0, 1.0])
 SECTOR_INDICES = (3, 5, 6, 9, 10, 12)
 
 
-@pytest.fixture(autouse=True)
-def _default_tolerance(monkeypatch):
-    """Run every test with the check suite's own tolerances, whatever MERA_LAB_TOLERANCE the shell sets."""
-    monkeypatch.delenv("MERA_LAB_TOLERANCE", raising=False)
-
-
 @pytest.fixture(scope="session")
 def h4() -> np.ndarray:
     return hamiltonian(4, BoundaryCondition.PERIODIC)

@@ -22,6 +22,11 @@ class TestResidual:
         residuals = bethe.bethe_residual([1.0], 4)
         assert abs(residuals[0]) < 1e-14
 
+    @pytest.mark.parametrize("roots", [[np.nan, 1.0], [np.inf], [1e308, -1e308]], ids=["nan", "inf", "overflow"])
+    def test_non_finite_residual_rejected(self, roots):
+        with pytest.raises(DomainError, match="non-finite residual"):
+            bethe.bethe_residual(roots, 4)
+
     def test_pole_guards(self):
         with pytest.raises(DomainError):
             bethe.bethe_residual([1j], 4)
@@ -70,6 +75,11 @@ class TestMomenta:
         with pytest.raises(DomainError):
             bethe.momenta_from_roots([0.5 + 0.5j])
 
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, complex(0.5, np.nan)])
+    def test_non_finite_root_rejected(self, lam):
+        with pytest.raises(DomainError, match="not finite"):
+            bethe.momenta_from_roots([lam])
+
 
 class TestEnergy:
     def test_ground_pair_matches_exact_diagonalization(self):
@@ -97,6 +107,15 @@ class TestEnergy:
     def test_complex_roots_unsupported(self):
         with pytest.raises(DomainError):
             bethe.energy_from_roots([1j], 4)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_root_rejected(self, lam):
+        with pytest.raises(DomainError, match="not finite"):
+            bethe.energy_from_roots([0.5, lam], 4)
+
+    def test_root_whose_square_overflows_rejected(self):
+        with pytest.raises(DomainError, match="too large"):
+            bethe.energy_from_roots([1e200], 4)
 
 
 class TestOneMagnonTable:

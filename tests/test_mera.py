@@ -723,6 +723,24 @@ class TestFidelity:
         with pytest.raises(DomainError, match="overflow"):
             mera.fidelity(1e100 * ground, 1e100 * ground)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-155])
+    def test_underflowing_state_norm_rejected(self, exact_ground, scale):
+        # The squared norm is subnormal, so the quotient would have lost bits.
+        _, ground = exact_ground
+        with pytest.raises(DomainError, match="underflow"):
+            mera.fidelity(scale * ground, ground)
+        with pytest.raises(DomainError, match="underflow"):
+            mera.fidelity(ground, scale * ground)
+        with pytest.raises(DomainError, match="underflow"):
+            mera.fidelities(np.array([ground, scale * ground]), ground)
+
+    def test_underflowing_norm_product_rejected(self, exact_ground):
+        # Each squared norm is 1e-300, normal; their product underflows to 0.
+        _, ground = exact_ground
+        assert mera.fidelity(1e-150 * ground, ground) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(DomainError, match="underflow"):
+            mera.fidelity(1e-150 * ground, 1e-150 * ground)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mera.fidelity(np.ones(4), np.ones(8))
@@ -804,6 +822,24 @@ class TestEntanglementEntropy:
             mera.entanglement_entropy(1e200 * ground, 2)
         with pytest.raises(DomainError, match="overflow"):
             mera.entanglement_entropies(np.array([ground, 1e200 * ground]), 2)
+
+    def test_underflowing_squared_norm_rejected(self, exact_ground):
+        # At 1e-150 the squared singular values are normal, at 1e-160 subnormal.
+        _, ground = exact_ground
+        assert mera.entanglement_entropy(1e-150 * ground, 2) == pytest.approx(0.83698821678583, rel=1e-13)
+        with pytest.raises(DomainError, match="underflow"):
+            mera.entanglement_entropy(1e-160 * ground, 2)
+        with pytest.raises(DomainError, match="underflow"):
+            mera.entanglement_entropies(np.array([ground, 1e-160 * ground]), 2)
+
+    def test_underflowing_kept_weight_rejected(self):
+        # Squared singular values 4e-308 (normal) and 1e-322 (subnormal, off by 1.2%);
+        # the second's weight 2.5e-15 is kept.
+        psi = np.zeros(16)
+        psi[0b0000] = 2e-154
+        psi[0b1111] = 1e-161
+        with pytest.raises(DomainError, match="kept squared singular values underflow"):
+            mera.entanglement_entropy(psi, 2)
 
     def test_empty_stack_gives_empty_array(self):
         entropies = mera.entanglement_entropies(np.zeros((0, 16)), 2)
