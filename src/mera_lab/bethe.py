@@ -14,7 +14,7 @@ normalization used in :mod:`mera_lab.heisenberg` (no shift, coupling 1).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ _POLE_TOL = 1e-10
 _REAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BetheRoots:
+class BetheRoots(NamedTuple):
     """Rapidities of one solution plus the worst equation residual."""
 
     roots: tuple[complex, ...]

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ _SWAP_STACK = 25
 _DOT_LENGTH = 4096
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool | None
     measured: float

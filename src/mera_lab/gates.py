@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ RMATRIX = "rmatrix"
 FAMILIES = (ROTATION, RMATRIX)
 
 
-@dataclass(frozen=True)
-class BCFunctions:
+class BCFunctions(NamedTuple):
     """Weight pair (b, c) of the integrable 4x4 matrix; b + c = 1 identically."""
 
     b: complex

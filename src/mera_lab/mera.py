@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ _DEGENERATE_NORM = 1e-12
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class IsometryParams:
+class IsometryParams(NamedTuple):
     """The eight real amplitudes of the two coarse-graining tensors.
 
     Each quadruple (l00, l01, l10, l11) and (r00, r01, r10, r11) must be
@@ -106,8 +105,7 @@ class IsometryParams:
         return worst
 
 
-@dataclass(frozen=True)
-class TrialState:
+class TrialState(NamedTuple):
     """Normalized 16-dimensional circuit output plus bookkeeping."""
 
     state: np.ndarray
@@ -115,8 +113,7 @@ class TrialState:
     norm_applied: bool
 
 
-@dataclass(frozen=True)
-class ThetaSolution:
+class ThetaSolution(NamedTuple):
     """Optimal entangler angle together with the ratio r = -R01/R10."""
 
     theta: float
@@ -125,8 +122,7 @@ class ThetaSolution:
     fidelity: float
 
 
-@dataclass(frozen=True)
-class NuFitResult:
+class NuFitResult(NamedTuple):
     """Roots of the spectral-parameter fit and diagnostics at quoted values."""
 
     roots: tuple[complex, complex]

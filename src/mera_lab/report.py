@@ -10,9 +10,8 @@ golden comparisons can ignore it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import bethe, checks, gates, mera, wavelet
 from .errors import DomainError, NumericError
@@ -21,8 +20,7 @@ from .heisenberg import four_site_ring, sector_basis
 SCHEMA_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     schema_version: str
     entangler: str
     theta_star: float
@@ -90,7 +88,7 @@ def build_report(entangler: str = gates.ROTATION, tolerance: float | None = None
 
 
 def _render(value: Any) -> str:
-    """Canonical JSON text of a report value; complex numbers render as [re, im]."""
+    """Canonical JSON text of a report value; complex numbers render as [re, im], records as objects."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -108,6 +106,8 @@ def _render(value: Any) -> str:
         items = sorted(value.items(), key=lambda item: str(item[0]))
         body = ",".join(f"{_render(str(k))}:{_render(v)}" for k, v in items)
         return "{" + body + "}"
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return _render(value._asdict())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_render(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -115,7 +115,7 @@ def _render(value: Any) -> str:
 
 def payload_json(report: Report) -> str:
     """Canonical JSON text of the report payload (deterministic bytes)."""
-    return _render(asdict(report))
+    return _render(report)
 
 
 def document_json(report: Report) -> str:

@@ -16,7 +16,7 @@ the D4 filter of the Daubechies family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,28 +25,31 @@ from .errors import ContractError
 _QUARTER_PI = np.pi / 4.0
 
 
-@dataclass(frozen=True)
-class ScalingFilter:
-    """Four lowpass taps satisfying the orthonormal filter constraints."""
-
+class _Taps(NamedTuple):
     taps: tuple[float, float, float, float]
 
-    def __post_init__(self) -> None:
-        taps = np.asarray(self.taps, dtype=float)
-        if taps.shape != (4,):
-            raise ContractError(f"expected exactly 4 taps, got {taps.shape}")
+
+class ScalingFilter(_Taps):
+    """Four lowpass taps satisfying the orthonormal filter constraints."""
+
+    __slots__ = ()
+
+    def __new__(cls, taps: tuple[float, float, float, float]) -> ScalingFilter:
+        h = np.asarray(taps, dtype=float)
+        if h.shape != (4,):
+            raise ContractError(f"expected exactly 4 taps, got {h.shape}")
         checks = {
-            "sum(h) = sqrt(2)": float(taps.sum()) - float(np.sqrt(2.0)),
-            "sum(h^2) = 1": float((taps ** 2).sum()) - 1.0,
-            "shift-2 orthogonality": float(taps[0] * taps[2] + taps[1] * taps[3]),
+            "sum(h) = sqrt(2)": float(h.sum()) - float(np.sqrt(2.0)),
+            "sum(h^2) = 1": float((h ** 2).sum()) - 1.0,
+            "shift-2 orthogonality": float(h[0] * h[2] + h[1] * h[3]),
         }
         for label, deviation in checks.items():
             if abs(deviation) > 1e-12:
                 raise ContractError(f"filter violates {label} by {deviation:.3e}")
+        return super().__new__(cls, taps)
 
 
-@dataclass(frozen=True)
-class AngleReport:
+class AngleReport(NamedTuple):
     """Raw juxtaposition of the circuit, root, and filter angles (radians)."""
 
     theta_star: float

@@ -551,35 +551,34 @@ class TestPinnedStdout:
 
 
 class TestImports:
-    def test_optimize_and_sweep_leave_numpy_ma_unloaded(self):
+    @staticmethod
+    def loaded_after(runs: list[list[str]], modules: tuple[str, ...]) -> str:
+        """The names of ``modules`` in ``sys.modules`` after a fresh process imports ``mera_lab.cli`` and runs ``runs``."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         probe = (
             "import contextlib, io, sys\n"
             "from mera_lab import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['optimize']) == 0\n"
-            "    assert cli.main(['sweep', '--theta-min', '-3', '--theta-max', '3', '--steps', '501']) == 0\n"
-            "print('numpy.ma' in sys.modules)\n"
+            + "".join(f"    assert cli.main({argv!r}) == 0\n" for argv in runs)
+            + f"print([name for name in {modules!r} if name in sys.modules])\n"
         )
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip()
+
+    def test_optimize_and_sweep_leave_numpy_ma_unloaded(self):
+        runs = [["optimize"], ["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "501"]]
+        assert self.loaded_after(runs, ("numpy.ma",)) == "[]"
 
     def test_optimize_and_check_leave_numpy_random_unloaded(self):
         # The check suite reads its samples from a table; no generator is imported.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        probe = (
-            "import contextlib, io, sys\n"
-            "from mera_lab import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['optimize', '--entangler', 'rotation']) == 0\n"
-            "    assert cli.main(['optimize', '--entangler', 'rmatrix']) == 0\n"
-            "    assert cli.main(['check']) == 0\n"
-            "print('numpy.random' in sys.modules)\n"
-        )
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        runs = [["optimize", "--entangler", "rotation"], ["optimize", "--entangler", "rmatrix"], ["check"]]
+        assert self.loaded_after(runs, ("numpy.random",)) == "[]"
+
+    def test_optimize_sweep_and_ed_leave_dataclasses_and_scipy_unloaded(self):
+        # The records are NamedTuples, and no solver uses scipy.
+        runs = [["optimize"], ["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "501"], ["ed", "--sites", "12"]]
+        assert self.loaded_after(runs, ("dataclasses", "scipy")) == "[]"
 
 
 class TestThreadCount:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mera_lab import gates, mera, report
+from mera_lab import bethe, checks, gates, mera, report, wavelet
 from mera_lab.errors import DomainError, NumericError
 
 
@@ -98,3 +98,61 @@ def test_every_finite_float_round_trips(value):
 @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
 def test_complex_renders_as_re_im_pair(value):
     assert json.loads(report._render(value)) == [value.real, value.imag]
+
+
+def test_record_in_a_list_renders_as_an_object_with_sorted_keys():
+    result = checks.CheckResult(name="x", passed=True, measured=0.5, tolerance=None)
+    assert report._render([result]) == '[{"measured":0.5,"name":"x","passed":true,"tolerance":null}]'
+
+
+def test_plain_tuple_renders_as_an_array():
+    assert report._render((0.5, "a", None)) == '[0.5,"a",null]'
+
+
+@pytest.mark.parametrize("value", [{0.5}, np.array([0.5])], ids=["set", "ndarray"])
+def test_unsupported_value_rejected(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        report._render(value)
+
+
+@pytest.fixture(scope="module")
+def records() -> dict[str, object]:
+    """One instance of each record type, keyed by class name."""
+    rep = report.build_report()
+    iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
+    return {
+        "BetheRoots": bethe.solve_two_magnon(),
+        "CheckResult": rep.check_results[0],
+        "BCFunctions": gates.bc(1.0),
+        "IsometryParams": iso,
+        "TrialState": mera.trial_state(gates.entangler_rotation(0.0), iso),
+        "ThetaSolution": mera.solve_theta_analytic(),
+        "NuFitResult": mera.solve_nu_fit(),
+        "Report": rep,
+        "ScalingFilter": wavelet.d4_coefficients(),
+        "AngleReport": rep.angle_table,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("BetheRoots", "roots"),
+        ("CheckResult", "passed"),
+        ("BCFunctions", "b"),
+        ("IsometryParams", "l01"),
+        ("TrialState", "state"),
+        ("ThetaSolution", "theta"),
+        ("NuFitResult", "roots"),
+        ("Report", "fidelity"),
+        ("ScalingFilter", "taps"),
+        ("AngleReport", "deviations"),
+    ],
+)
+def test_records_refuse_assignment(records, name, field):
+    record = records[name]
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 0.0
