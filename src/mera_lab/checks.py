@@ -16,7 +16,7 @@ circuit at the optimal angle.
 
 Every commutator is formed by contraction: a product A X with A = embed(gate,
 i, n) on the left applies the 4x4 gate to the row bits of sites (i, i+1) of X
-(``_gate_times``) and never multiplies by the dense A.  For entanglers on
+(``gates.apply``) and never multiplies by the dense A.  For entanglers on
 disjoint pairs (sites i, i+1 and j, j+1 with j >= i + 2, on 4, 6 and 8
 sites) A and B are both the identity outside the m = j - i + 2 sites i..j+1
 that they span, so [A, B] = I (x) C (x) I with C the commutator of the same
@@ -45,12 +45,13 @@ thread pool, which numpy's bundled OpenBLAS does for a zgemm from about
 4 x 4 x 4096 multiply-adds and for a dot over 10 000 entries.  On a 2-core
 machine such calls waited 6-15 ms each for a worker thread in many fresh
 processes (3 of 16 in one batch, 4 of 8 in another), several times the
-suite's own work.  ``_gate_times`` therefore applies the gate to one slab
-of 4 rows at a time, and ``_commutator_norm`` sums the squares in dots of
-at most ``_DOT_LENGTH`` entries.  Up to that length (the spans m <= 6 and
-the adjacent pair) the sum is the one pair of dots that ``np.linalg.norm``
-takes, with its bits; the 7- and 8-site spans, whose norm is exactly 0,
-add partial sums.
+suite's own work.  ``gates.apply`` therefore applies the gate to one slab
+of 4 rows at a time (see the ``gates`` module docstring), and
+``_commutator_norm`` sums the squares in dots of at most ``_DOT_LENGTH``
+entries.  Up to that length (the spans m <= 6 and the adjacent pair) the
+sum is the one pair of dots that ``np.linalg.norm`` takes
+(``mera._squared_norms``), with its bits; the 7- and 8-site spans, whose
+norm is exactly 0, add partial sums.
 """
 
 from __future__ import annotations
@@ -86,33 +87,12 @@ class CheckResult(NamedTuple):
     tolerance: float | None
 
 
-def _gate_times(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
-    """``embed(gate, site, n) @ matrix``, formed by applying the 4x4 gate to the row bits of (site, site+1).
-
-    ``matrix`` may be a stack [..., 2^n, 2^n] and ``gate`` a matching stack
-    [..., 4, 4].  The gate multiplies one slab of 4 rows by 2^n columns at a
-    time, one slab per value of the other row bits, so no BLAS call exceeds
-    4 x 4 x 2^n multiply-adds (see the module docstring).
-    """
-    *stack, rows, cols = matrix.shape
-    slabs = (*stack, 2 ** (site - 1), 4, rows >> (site + 1), cols)
-    product = np.empty_like(matrix)
-    out = product.reshape(slabs).swapaxes(-3, -2)
-    np.matmul(gate[..., None, None, :, :], matrix.reshape(slabs).swapaxes(-3, -2), out=out)
-    return product
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Sum of |x|^2 over each row of ``rows`` [k, l], with the two BLAS dots per row that ``np.linalg.norm`` takes."""
-    return np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
-
-
 def _commutator_norm(gate: np.ndarray, i: int, j: int, n: int) -> float:
     """Norm of [embed(gate, i, n), embed(gate, j, n)], i < j, formed on the m = j - i + 2 sites i..j+1."""
     m = j - i + 2
-    commutator = _gate_times(gate, 1, gates.embed(gate, m - 1, m))
-    commutator -= _gate_times(gate, m - 1, gates.embed(gate, 1, m))
-    squares = _squared_norms(commutator.reshape(-1, min(commutator.size, _DOT_LENGTH)))
+    commutator = gates.apply(gate, 1, gates.embed(gate, m - 1, m))
+    commutator -= gates.apply(gate, m - 1, gates.embed(gate, 1, m))
+    squares = mera._squared_norms(commutator.reshape(-1, min(commutator.size, _DOT_LENGTH)))
     return math.sqrt(float(np.sum(squares))) * math.sqrt(2 ** (n - m))
 
 
@@ -134,8 +114,8 @@ def _swap_conjugation_defects(stack: np.ndarray) -> np.ndarray:
         chunk = stack[start : start + _SWAP_STACK]
         inner = gates.embed(chunk, 2, 4)
         outer = swaps @ inner @ swaps
-        commutators = _gate_times(chunk, 2, outer) - outer @ inner
-        defects.append(np.sqrt(_squared_norms(commutators.reshape(len(chunk), -1))))
+        commutators = gates.apply(chunk, 2, outer) - outer @ inner
+        defects.append(np.sqrt(mera._squared_norms(commutators.reshape(len(chunk), -1))))
     return np.concatenate(defects)
 
 

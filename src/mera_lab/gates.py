@@ -21,6 +21,18 @@ builders are their stacks of one, so a gate has the same bits either way.
 :func:`embed` likewise takes one gate or a stack [..., 4, 4], and each
 embedded gate of a stack has the bits of that gate embedded alone.
 
+:func:`apply` is the one way to multiply a register by a placed gate: it
+forms ``embed(gate, site, n) @ matrix`` by applying the 4x4 gate, or a stack
+of them, to the row bits of (site, site+1), never forming the dense
+embedding.  It views the 2^n rows of ``matrix`` as (2^(site-1), 4, rest)
+slabs and multiplies one slab of 4 rows at a time, so no BLAS call exceeds
+4 x 4 x cols multiply-adds.  numpy's bundled OpenBLAS hands a zgemm to its
+thread pool from about 4 x 4 x 4096 multiply-adds; on a 2-core machine such
+calls waited 6-15 ms each for a worker thread in many fresh processes,
+several times the work of the check suite that makes them.  With one slab
+per call, a register of fewer than about 4096 columns stays on the calling
+thread whatever its row count.
+
 For complex nu the weight matrix is deliberately returned as-is (neither
 rejected nor rescaled): downstream state constructions renormalize, and the
 check suite reports the departure from unitarity instead of hiding it.
@@ -142,17 +154,51 @@ def rmatrices(nus) -> np.ndarray:
     return _exchange_gates(b, c, c)
 
 
+def _placed_gate(gate, site: int, n: int) -> np.ndarray:
+    """``gate`` as an array, checked to be [..., 4, 4] and ``site`` to name a pair (site, site+1) of n sites."""
+    gate = np.asarray(gate)
+    if gate.shape[-2:] != (4, 4):
+        raise ShapeError(f"expected a 4x4 two-site gate or a stack [..., 4, 4] of them, got {gate.shape}")
+    if not 1 <= site <= n - 1:
+        raise ShapeError(f"site {site} out of range for {n} sites")
+    return gate
+
+
+def apply(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
+    """``embed(gate, site, n) @ matrix``, formed by applying the 4x4 gate to the row bits of (site, site+1).
+
+    ``matrix`` is [..., 2^n, cols] for any n >= 2 and cols, and ``gate`` one
+    gate or a stack [..., 4, 4] whose leading axes broadcast to those of
+    ``matrix``; the product has the shape and dtype of ``matrix``, which must
+    therefore hold complex values for a complex gate.  The gate
+    multiplies one slab of 4 rows by cols columns at a time, one slab per
+    value of the other row bits, so no BLAS call exceeds 4 x 4 x cols
+    multiply-adds and none is handed to OpenBLAS's thread pool for cols below
+    about 4096 (see the module docstring).  A row count that is not a power
+    of 2, a site outside 1..n-1 or a gate that is not [..., 4, 4] raises
+    :class:`ShapeError`.
+    """
+    if matrix.ndim < 2:
+        raise ShapeError(f"expected a register [..., 2^n, cols], got shape {matrix.shape}")
+    *stack, rows, cols = matrix.shape
+    n = rows.bit_length() - 1
+    if rows != 2**n:
+        raise ShapeError(f"expected 2^n rows, got {rows}")
+    gate = _placed_gate(gate, site, n)
+    slabs = (*stack, 2 ** (site - 1), 4, rows >> (site + 1), cols)
+    product = np.empty_like(matrix)
+    out = product.reshape(slabs).swapaxes(-3, -2)
+    np.matmul(gate[..., None, None, :, :], matrix.reshape(slabs).swapaxes(-3, -2), out=out)
+    return product
+
+
 def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
     """Embed a two-site gate, or each gate of a stack [..., 4, 4], at 1-based position (site, site+1) of n sites.
 
     Returns [..., 2^n, 2^n]; each gate of a stack gets the bits of embedding it alone.
     """
-    gate = np.asarray(gate)
-    if gate.shape[-2:] != (4, 4):
-        raise ShapeError(f"expected a 4x4 two-site gate or a stack [..., 4, 4] of them, got {gate.shape}")
     _check_site_count(n)
-    if not 1 <= site <= n - 1:
-        raise ShapeError(f"site {site} out of range for {n} sites")
+    gate = _placed_gate(gate, site, n)
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n - site - 1), dtype=complex)
     # kron(kron(left, gate), right), multiplied in kron's order, which keeps every bit of it,

@@ -249,6 +249,11 @@ def _pencil_eigh(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, y * inverse[:, :, None]
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Sum of |x|^2 over each row of ``rows`` [k, l], with the two BLAS dots per row that ``np.linalg.norm`` takes."""
+    return np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
+
+
 def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form energy minimum over the two-amplitude family, for each gate of a stack.
 
@@ -280,7 +285,7 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
     if (np.abs(ratios.imag) > 1e-9 * np.maximum(1.0, np.abs(ratios.real))).any():
         raise NumericError(f"optimal ratio is not real: {ratios[np.argmax(np.abs(ratios.imag))]!r}")
     states = u[:, None] * basis[:, 0] + q[:, None] * basis[:, 1]
-    norms = np.sqrt(np.vecdot(states.real, states.real) + np.vecdot(states.imag, states.imag))
+    norms = np.sqrt(_squared_norms(states))
     return values[:, 0], ratios.real, states / norms[:, None], values[:, 1] - values[:, 0]
 
 

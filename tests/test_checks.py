@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -23,13 +24,13 @@ def assert_products_equal_dense(gate: np.ndarray, n: int) -> None:
     for i, j in site_pairs(n):
         a = gates.embed(gate, i, n)
         b = gates.embed(gate, j, n)
-        assert np.array_equal(checks._gate_times(gate, i, b), a @ b)
-        assert np.array_equal(checks._gate_times(gate, j, a), b @ a)
+        assert np.array_equal(gates.apply(gate, i, b), a @ b)
+        assert np.array_equal(gates.apply(gate, j, a), b @ a)
     # The swap-conjugated entangler: the swap layer moves the gate on (2, 3) onto (1, 4).
     swaps = gates.swap_layer(n)
     inner = gates.embed(gate, 2, n)
     outer = swaps @ inner @ swaps
-    assert np.array_equal(checks._gate_times(gate, 2, outer), inner @ outer)
+    assert np.array_equal(gates.apply(gate, 2, outer), inner @ outer)
 
 
 #: ``gates.embed`` and three broken variants: the gate one site to the left, one to the right, transposed.
@@ -60,7 +61,7 @@ def per_gate_swap_defects(rotations: np.ndarray) -> list[float]:
     for gate in rotations:
         inner = gates.embed(gate, 2, 4)
         outer = swaps @ inner @ swaps
-        defects.append(float(np.linalg.norm(checks._gate_times(gate, 2, outer) - outer @ inner)))
+        defects.append(float(np.linalg.norm(gates.apply(gate, 2, outer) - outer @ inner)))
     return defects
 
 
@@ -105,13 +106,6 @@ class TestDisjointCommutators:
     @given(st.floats(-np.pi, np.pi), st.sampled_from([4, 6, 8]))
     def test_contracted_products_equal_dense_products_for_any_angle(self, theta, n):
         assert_products_equal_dense(gates.entangler_rotation(theta), n)
-
-    def test_gate_times_acts_on_the_named_pair_only(self):
-        rng = np.random.default_rng(3)
-        gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        matrix = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-        for site in range(1, 6):
-            assert np.allclose(checks._gate_times(gate, site, matrix), gates.embed(gate, site, 6) @ matrix, atol=1e-12)
 
     def test_suite_reports_exact_zero(self):
         suite = {c.name: c for c in checks.run_checks()}
@@ -158,6 +152,40 @@ class TestDisjointCommutators:
         assert calls == [(1, j, n) for n in (4, 6, 8) for j in range(3, n)] + [(1, 2, 4)]
 
 
+class TestGateApplication:
+    def test_suite_applies_every_gate_through_gates_apply(self, monkeypatch):
+        # Two per commutator norm (ten of them) and one per stack of swap-conjugated gates (four).
+        calls = []
+        apply = gates.apply
+
+        def counted(gate, site, matrix):
+            calls.append(site)
+            return apply(gate, site, matrix)
+
+        monkeypatch.setattr(gates, "apply", counted)
+        checks.run_checks()
+        swap_stacks = [2] * 4
+        spans = [site for n in (4, 6, 8) for j in range(3, n) for site in (1, j)]
+        assert calls == swap_stacks + spans + [1, 2]
+        assert len(calls) == 24
+
+    def test_checks_defines_check_logic_only(self):
+        # Applying a gate to a register is gates.apply's job; a new helper here needs a deliberate edit.
+        functions = {
+            name
+            for name, value in vars(checks).items()
+            if inspect.isfunction(value) and value.__module__ == checks.__name__
+        }
+        assert functions == {
+            "_commutator_norm",
+            "_unitarity_defects",
+            "_swap_conjugation_defects",
+            "_load_draws",
+            "run_checks",
+            "all_passed",
+        }
+
+
 class TestSwapConjugation:
     @pytest.mark.parametrize("variant", sorted(EMBEDDINGS))
     def test_stack_equals_the_per_gate_loop_bit_for_bit(self, monkeypatch, variant):
@@ -186,8 +214,8 @@ class TestCommutatorNorm:
         monkeypatch.setattr(gates, "embed", EMBEDDINGS["transposed"](gates.embed))
         rng = np.random.default_rng(200 + m)
         gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        commutator = checks._gate_times(gate, 1, gates.embed(gate, m - 1, m))
-        commutator -= checks._gate_times(gate, m - 1, gates.embed(gate, 1, m))
+        commutator = gates.apply(gate, 1, gates.embed(gate, m - 1, m))
+        commutator -= gates.apply(gate, m - 1, gates.embed(gate, 1, m))
         norm = checks._commutator_norm(gate, 1, m - 1, m)
         assert norm > 0.0
         if commutator.size <= checks._DOT_LENGTH:

@@ -1,12 +1,13 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mera_lab import gates, mera, report
+from mera_lab import gates, heisenberg, mera, report
 from mera_lab.errors import DomainError, ResourceError, ShapeError
 
 I4 = np.eye(4, dtype=complex)
@@ -276,6 +277,197 @@ class TestEmbed:
         a = gates.embed(gate, 1, 4)
         b = gates.embed(gate, 2, 4)
         assert np.linalg.norm(a @ b - b @ a) > 1e-3
+
+
+def random_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def slab_reference(gate: np.ndarray, site: int, block: np.ndarray) -> np.ndarray:
+    """The gate contracted with the row bits of (site, site+1) of a block [2^n, k], with no BLAS slab loop."""
+    rows, cols = block.shape
+    slabs = block.reshape(2 ** (site - 1), 4, rows >> (site + 1), cols)
+    return np.einsum("ab,xbyk->xayk", gate, slabs).reshape(rows, cols)
+
+
+class TestApply:
+    def test_acts_on_the_named_pair_only(self):
+        rng = np.random.default_rng(3)
+        gate = random_complex(rng, 4, 4)
+        matrix = random_complex(rng, 64, 64)
+        for site in range(1, 6):
+            assert np.allclose(gates.apply(gate, site, matrix), gates.embed(gate, site, 6) @ matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("cols", [1, 3, 100])
+    def test_block_of_columns(self, cols):
+        rng = np.random.default_rng(cols)
+        gate = random_complex(rng, 4, 4)
+        for n in (2, 5, 7):
+            block = random_complex(rng, 2**n, cols)
+            for site in range(1, n):
+                product = gates.apply(gate, site, block)
+                assert product.shape == block.shape and product.dtype == block.dtype
+                assert np.allclose(product, gates.embed(gate, site, n) @ block, atol=1e-12)
+
+    def test_stacks_of_blocks(self):
+        rng = np.random.default_rng(4)
+        stack = random_complex(rng, 2, 3, 4, 4)
+        blocks = random_complex(rng, 2, 3, 32, 5)
+        for site in range(1, 5):
+            product = gates.apply(stack, site, blocks)
+            assert product.shape == blocks.shape
+            embedded = gates.embed(stack, site, 5)
+            assert np.allclose(product, embedded @ blocks, atol=1e-12)
+            # One gate, or a stack with fewer axes, broadcasts over the stack of blocks.
+            assert np.allclose(gates.apply(stack[0, 0], site, blocks), embedded[0, 0] @ blocks, atol=1e-12)
+            assert np.allclose(gates.apply(stack[0], site, blocks), embedded[0] @ blocks, atol=1e-12)
+
+    def test_register_above_the_dense_limit(self):
+        # The register already exists, so apply has no site cap of its own.
+        rng = np.random.default_rng(5)
+        gate = random_complex(rng, 4, 4)
+        block = random_complex(rng, 2**16, 3)
+        for site in (1, 8, 15):
+            assert np.allclose(gates.apply(gate, site, block), slab_reference(gate, site, block), atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, 12, 24])
+    def test_row_count_not_a_power_of_two_or_too_small(self, rows):
+        with pytest.raises(ShapeError):
+            gates.apply(I4, 1, np.eye(rows, dtype=complex))
+
+    def test_register_without_columns_axis(self):
+        with pytest.raises(ShapeError):
+            gates.apply(I4, 1, np.ones(16, dtype=complex))
+
+    @pytest.mark.parametrize("site", [-1, 0, 4, 5])
+    def test_site_out_of_range(self, site):
+        with pytest.raises(ShapeError, match="out of range"):
+            gates.apply(I4, site, np.eye(16, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (16,), (3, 4, 8)])
+    def test_wrong_gate_shape(self, shape):
+        with pytest.raises(ShapeError, match="two-site gate"):
+            gates.apply(np.zeros(shape, dtype=complex), 1, np.eye(16, dtype=complex))
+
+    def test_every_parameter_is_required(self):
+        parameters = inspect.signature(gates.apply).parameters.values()
+        assert [p.name for p in parameters] == ["gate", "site", "matrix"]
+        assert all(p.default is inspect.Parameter.empty for p in parameters)
+
+
+#: u, v and u - v stay this far from the pole of the R-matrix at -2i.
+POLE_DISTANCE = 1e-3
+
+
+def braid_side(first: complex, middle: complex, last: complex, sites: tuple[int, int, int]) -> np.ndarray:
+    """R(first) R(middle) R(last) on 3 sites, the k-th factor on the pair (sites[k], sites[k] + 1)."""
+    register = np.eye(8, dtype=complex)
+    for nu, site in reversed(list(zip((first, middle, last), sites))):
+        register = gates.apply(gates.rmatrix(nu), site, register)
+    return register
+
+
+class TestBraidRelation:
+    # The check form of the Yang-Baxter equation of gates.rmatrix (Faddeev, hep-th/9605187).
+    part = st.floats(-10.0, 10.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(complex, part, part), st.builds(complex, part, part))
+    def test_holds_for_complex_parameters(self, u, v):
+        for nu in (u, v, u - v):
+            assume(abs(nu + 2j) > POLE_DISTANCE)
+        left = braid_side(u - v, u, v, (1, 2, 1))
+        right = braid_side(v, u, u - v, (2, 1, 2))
+        scale = math.prod(np.linalg.norm(gates.rmatrix(nu), 2) for nu in (u, v, u - v))
+        assert np.max(np.abs(left - right)) <= 1e-14 * scale
+
+    def test_fails_for_unmatched_parameters(self):
+        left = braid_side(0.7 - 0.2j, 1.1, 0.4, (1, 2, 1))
+        right = braid_side(0.4, 1.1, 0.7, (2, 1, 2))
+        assert np.max(np.abs(left - right)) > 1e-2
+
+
+def transfer(lam: complex, n: int, bc: str, block: np.ndarray) -> np.ndarray:
+    """t(lam) @ block for the transfer matrix of n sites, block [2^n, k], built from gates.rmatrix(lam - i).
+
+    An auxiliary spin joins the register, the gate acts on a path of
+    neighbouring pairs, and the trace over the auxiliary spin closes it.
+    Ring (Faddeev): the auxiliary spin enters as site 1, the pairs run
+    (1, 2), ..., (n, n+1), and it leaves as site n+1.  Open chain (Sklyanin):
+    it enters and leaves as site n+1, and the pairs run (n, n+1), ..., (1, 2)
+    and back (1, 2), ..., (n, n+1).
+    """
+    rows, cols = block.shape
+    if bc == "periodic":
+        inputs = np.zeros((2, 2, rows, cols), dtype=complex)
+        inputs[0, 0] = inputs[1, 1] = block
+        pairs = [*range(1, n + 1)]
+    else:
+        inputs = np.zeros((2, rows, 2, cols), dtype=complex)
+        inputs[0, :, 0] = inputs[1, :, 1] = block
+        pairs = [*range(n, 0, -1), *range(1, n + 1)]
+    # One register per value of the auxiliary spin, both in one stack.
+    register = inputs.reshape(2, 2 * rows, cols)
+    gate = gates.rmatrix(lam - 1j)
+    for site in pairs:
+        register = gates.apply(gate, site, register)
+    return np.trace(register.reshape(2, rows, 2, cols), axis1=0, axis2=2)
+
+
+def relative(defect: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.linalg.norm(defect) / np.linalg.norm(reference))
+
+
+BOUNDARIES = ["periodic", "open"]
+
+
+class TestTransferMatrix:
+    # Random complex spectral parameters, applied to a block of random columns instead of the identity.
+    COLUMNS = 3
+
+    def problem(self, n: int, bc: str, seed: int):
+        rng = np.random.default_rng([n, BOUNDARIES.index(bc), seed])
+        mu, nu = random_complex(rng, 2)
+        return heisenberg.hamiltonian(n, bc), random_complex(rng, 2**n, self.COLUMNS), mu, nu
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_commutes_with_the_hamiltonian(self, n, bc):
+        h, block, mu, _ = self.problem(n, bc, 0)
+        both = transfer(mu, n, bc, np.hstack([block, h @ block]))
+        t_block, t_h_block = np.hsplit(both, 2)
+        assert relative(t_h_block - h @ t_block, h @ t_block) < 1e-14
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_commutes_at_two_parameters(self, n, bc):
+        _, block, mu, nu = self.problem(n, bc, 1)
+        nu_block, nu_mu_block = np.hsplit(transfer(nu, n, bc, np.hstack([block, transfer(mu, n, bc, block)])), 2)
+        assert relative(transfer(mu, n, bc, nu_block) - nu_mu_block, nu_mu_block) < 1e-14
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_each_boundary_fails_the_other_hamiltonian(self, n):
+        for bc, other in zip(BOUNDARIES, reversed(BOUNDARIES)):
+            h, block, mu, _ = self.problem(n, other, 2)
+            t_block, t_h_block = np.hsplit(transfer(mu, n, bc, np.hstack([block, h @ block])), 2)
+            assert relative(t_h_block - h @ t_block, h @ t_block) > 0.1
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("n", [2, 3, 8, 10])
+    def test_hamiltonian_is_the_logarithmic_derivative_at_i(self, n, bc):
+        # t(i) is built from rmatrix(0) = I: the cyclic shift on the ring, 2 I on the open chain.
+        # Ring: H t(i) = (n/4) t(i) + i t'(i); open chain: H = (n I + i t'(i)) / 4.
+        h, block, _, _ = self.problem(n, bc, 3)
+        step = 1e-6
+        derivative = (transfer(1j + step, n, bc, block) - transfer(1j - step, n, bc, block)) / (2 * step)
+        at_i = transfer(1j, n, bc, block)
+        if bc == "periodic":
+            shifted = block.reshape(2 ** (n - 1), 2, self.COLUMNS).swapaxes(0, 1).reshape(block.shape)
+            assert np.array_equal(at_i, shifted)
+            assert relative(h @ at_i - (n / 4) * at_i - 1j * derivative, h @ at_i) < 1e-8
+        else:
+            assert np.array_equal(at_i, 2 * block)
+            assert relative(h @ block - (n * block + 1j * derivative) / 4, h @ block) < 1e-8
 
 
 class TestSwapLayer:
