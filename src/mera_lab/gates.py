@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 from .heisenberg import _check_site_count
 
 #: Guard radius around the pole of the weight functions at nu = -2i.
@@ -175,8 +175,10 @@ def apply(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
     value of the other row bits, so no BLAS call exceeds 4 x 4 x cols
     multiply-adds and none is handed to OpenBLAS's thread pool for cols below
     about 4096 (see the module docstring).  A row count that is not a power
-    of 2, a site outside 1..n-1 or a gate that is not [..., 4, 4] raises
-    :class:`ShapeError`.
+    of 2, a site outside 1..n-1, a gate that is not [..., 4, 4] or a stack
+    whose leading axes do not broadcast to those of ``matrix`` raises
+    :class:`ShapeError`; a product that ``matrix``'s dtype cannot hold, such
+    as a complex gate's on a real register, raises :class:`ContractError`.
     """
     if matrix.ndim < 2:
         raise ShapeError(f"expected a register [..., 2^n, cols], got shape {matrix.shape}")
@@ -185,6 +187,11 @@ def apply(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
     if rows != 2**n:
         raise ShapeError(f"expected 2^n rows, got {rows}")
     gate = _placed_gate(gate, site, n)
+    leading = gate.shape[:-2]
+    if len(leading) > len(stack) or any(g not in (1, s) for g, s in zip(leading[::-1], stack[::-1])):
+        raise ShapeError(f"gate stack {leading} does not broadcast to the register's stack {tuple(stack)}")
+    if not np.can_cast(np.result_type(gate, matrix), matrix.dtype, casting="same_kind"):
+        raise ContractError(f"a {gate.dtype} gate's product does not fit a {matrix.dtype} register")
     slabs = (*stack, 2 ** (site - 1), 4, rows >> (site + 1), cols)
     product = np.empty_like(matrix)
     out = product.reshape(slabs).swapaxes(-3, -2)

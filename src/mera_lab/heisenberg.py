@@ -7,15 +7,15 @@ The matrix is real symmetric in the computational basis.
 
 H conserves total Sz, so it is block diagonal in the number of down spins.
 One term emitter, ``_hamiltonian_terms``, lists the nonzeros of H on the
-columns of an ascending list of states as flat arrays: the diagonal, and one
-(source, image) pair per bond and anti-aligned state, the image being the
-state with the bond's two spins exchanged. Dense blocks scatter the pairs
-back into the list with one ``np.add.at``: ``hamiltonian`` on all 2^n
-states, ``sector_hamiltonian`` on one fixed-magnetization sector (at most
-C(12, 6) = 924 states). The ``ed`` command works one Sz sector at a time and
-never forms the 2^n matrix; ``ground_state`` stays dense because its callers
-need the full state vector, and it refuses a degenerate ground state, whose
-vector would be arbitrary.
+columns of an ascending list of states as flat arrays, read from one table
+of bonds x states: the diagonal, and one (source, image) pair per bond and
+anti-aligned state, the image being the state with the bond's two spins
+exchanged. Dense blocks scatter the pairs back into the list with one
+``np.add.at``: ``hamiltonian`` on all 2^n states, ``sector_hamiltonian`` on
+one fixed-magnetization sector (at most C(12, 6) = 924 states). The ``ed``
+command works one Sz sector at a time and never forms the 2^n matrix;
+``ground_state`` stays dense because its callers need the full state vector,
+and it refuses a degenerate ground state, whose vector would be arbitrary.
 The periodic four-site ring, which every circuit path uses, is built and
 diagonalized once per process by ``four_site_ring``.
 
@@ -29,19 +29,19 @@ order n; on an open chain g reverses the sites, i <-> n - 1 - i, and has
 order 2. Either commutes with H, and each sector splits into blocks m, one
 state per orbit of g: crystal momenta k = 2 pi m / n on the ring, the
 reflection-even (m = 0) and reflection-odd (m = 1) states on an open chain.
-``symmetry_blocks`` runs the emitter on the orbits' representatives only and
-maps each image onto its orbit (``_orbits``), so no dense sector block is
-formed. Blocks m and N - m of a symmetry of order N are complex conjugates,
-so only m = 0..N/2 is solved. On the ring the total momentum is the sum of
-the Bethe momenta. At 12 sites the largest block solved is 80 x 80 on the
-ring (m = 0 and m = 6 at half filling) and 472 x 472 on an open chain (the
-reflection-even half-filling block).
+``_orbits`` is the one place that knows g and its order N: one table of
+g^r of a sector's states gives each state's orbit. ``symmetry_blocks`` runs
+the emitter on the orbits' representatives only and reads each image's orbit
+from that table, so no dense sector block is formed. Blocks m and N - m are
+complex conjugates, so only m = 0..N/2 is solved. On the ring the total
+momentum is the sum of the Bethe momenta. At 12 sites the largest block
+solved is 80 x 80 on the ring (m = 0 and m = 6 at half filling) and
+472 x 472 on an open chain (the reflection-even half-filling block).
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from enum import Enum
 
 import numpy as np
@@ -69,24 +69,19 @@ def _hamiltonian_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzeros of H on the columns ``states`` (ascending): (diagonal, sources, images).
 
-    The bonds are (i, i + 1), and (n - 1, 0) on the ring.  There is one
-    exchange term per bond and anti-aligned state: ``sources`` holds the
-    state's position in ``states`` and ``images`` the state its two spins
-    exchange into; each image has the element 1/2 in its source's column.
+    The bonds are (i, i + 1), and (n - 1, 0) on the ring.  One bonds x states
+    table marks the anti-aligned pairs.  There is one exchange term per
+    bond and anti-aligned state, bond-major in the table's row-major order:
+    ``sources`` holds the state's position in ``states`` and ``images`` the
+    state its two spins exchange into; each image has the element 1/2 in its
+    source's column.
     """
-    periodic = BoundaryCondition(bc) is BoundaryCondition.PERIODIC
-    diagonal = np.zeros(len(states))
-    sources, images = [], []
-    for i in range(n if periodic else n - 1):
-        j = (i + 1) % n
-        bi = (states >> (n - 1 - i)) & 1
-        bj = (states >> (n - 1 - j)) & 1
-        aligned = bi == bj
-        diagonal += np.where(aligned, 0.25, -0.25)
-        anti = np.flatnonzero(~aligned)
-        sources.append(anti)
-        images.append(states[anti] ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))))
-    return diagonal, np.concatenate(sources), np.concatenate(images)
+    sites = np.arange(n if BoundaryCondition(bc) is BoundaryCondition.PERIODIC else n - 1)
+    masks = (1 << (n - 1 - sites)) | (1 << (n - 1 - (sites + 1) % n))
+    anti = np.bitwise_count(states & masks[:, None]) == 1
+    diagonal = 0.25 * (len(masks) - 2 * np.count_nonzero(anti, axis=0))
+    bonds, sources = np.nonzero(anti)
+    return diagonal, sources, states[sources] ^ masks[bonds]
 
 
 def _build_hamiltonian(n: int, states: np.ndarray, bc: BoundaryCondition | str) -> np.ndarray:
@@ -118,42 +113,33 @@ def sector_hamiltonian(
     return _build_hamiltonian(n, sector_basis(n, n_down), bc)
 
 
-def _symmetry(n: int, bc: BoundaryCondition | str) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """Order and action on states of the cyclic site symmetry g of ``bc``.
+def _orbits(n: int, states: np.ndarray, bc: BoundaryCondition | str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Order N of the site symmetry g of ``bc``, and each state's orbit under g: (N, representative, shift, period).
 
     On the ring g shifts every site by one, the last to the front, and has
     order n; on an open chain g reverses the sites, i <-> n - 1 - i, and has
-    order 2.
+    order 2.  Row r of one table of N x len(states) entries holds g^r of
+    every state.  The representative is the smallest state of the orbit (the
+    column minimum), the shift the fewest applications of g that map the
+    state onto it (the first row that holds it), and the period the orbit's
+    number of members (N over the number of rows that hold the state).
     """
     if BoundaryCondition(bc) is BoundaryCondition.PERIODIC:
-        return n, lambda states: (states >> 1) | ((states & 1) << (n - 1))
-    return 2, lambda states: sum(((states >> i) & 1) << (n - 1 - i) for i in range(n))
-
-
-def _orbits(n: int, states: np.ndarray, bc: BoundaryCondition | str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each state's orbit under the site symmetry g of ``bc``: (representative, shift, period).
-
-    The representative is the smallest state of the orbit, the shift the
-    fewest applications of g that map the state onto it, and the period the
-    orbit's number of members.
-    """
-    order, g = _symmetry(n, bc)
-    image = representative = states
-    shift = np.zeros_like(states)
-    period = np.full_like(states, order)
-    for r in range(1, order):
-        image = g(image)
-        smaller = image < representative
-        representative = np.where(smaller, image, representative)
-        shift = np.where(smaller, r, shift)
-        period = np.where((image == states) & (period == order), r, period)
-    return representative, shift, period
+        r = np.arange(n)[:, None]
+        images = ((states >> r) | (states << (n - r))) & ((1 << n) - 1)
+    else:
+        sites = np.arange(n)
+        bits = (states[:, None] >> sites) & 1
+        images = np.stack([states, (bits << (n - 1 - sites)).sum(axis=1)])
+    order = len(images)
+    period = order // np.count_nonzero(images == states, axis=0)
+    return order, images.min(axis=0), images.argmin(axis=0), period
 
 
 def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np.ndarray]:
     """Blocks H_m, m = 0..N/2, of Sz sector ``n_down`` under the site symmetry g of ``bc``.
 
-    g has order N (see ``_symmetry``). On the ring block m holds crystal
+    g has order N (see ``_orbits``). On the ring block m holds crystal
     momentum k = 2 pi m / n; on an open chain block 0 is reflection-even and
     block 1 reflection-odd. Block m acts on one symmetric state per orbit
     representative a whose period p_a has m p_a = 0 (mod N), in ascending
@@ -162,11 +148,11 @@ def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np
     map onto representative b adds 1/2 e^{-2 pi i m l / N} sqrt(p_a / p_b)
     to <b|H_m|a>. Block N - m is the complex conjugate of block m and is not
     returned. When 2m = 0 (mod N) every phase is +/-1 and the block is
-    assembled real; every other block is complex.
+    assembled real; every other block is complex, its phases read from one
+    table of the N-th roots of unity.
     """
-    order, _ = _symmetry(n, bc)
     states = sector_basis(n, n_down)
-    representative, shift, period = _orbits(n, states, bc)
+    order, representative, shift, period = _orbits(n, states, bc)
     is_representative = representative == states
     representatives, periods = states[is_representative], period[is_representative]
     diagonal, sources, images = _hamiltonian_terms(n, representatives, bc)
@@ -175,12 +161,13 @@ def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np
     shifts = shift[at]
     targets = np.searchsorted(representatives, representative[at])
     weights = 0.5 * np.sqrt(periods[sources] / periods[targets])
+    roots = np.exp(-2j * np.pi * np.arange(order) / order)
     blocks = []
     for m in range(order // 2 + 1):
         if 2 * m % order == 0:
             phases = np.where(m * shifts % order == 0, 1.0, -1.0)
         else:
-            phases = np.exp(-2j * np.pi * (m * shifts % order) / order)
+            phases = roots[m * shifts % order]
         h_m = np.diag(diagonal).astype(phases.dtype, copy=False)
         np.add.at(h_m, (targets, sources), weights * phases)
         kept = np.flatnonzero(m * periods % order == 0)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mera_lab import gates, heisenberg, mera, report
-from mera_lab.errors import DomainError, ResourceError, ShapeError
+from mera_lab.errors import ContractError, DomainError, ResourceError, ShapeError
 
 I4 = np.eye(4, dtype=complex)
 
@@ -348,6 +348,19 @@ class TestApply:
     def test_wrong_gate_shape(self, shape):
         with pytest.raises(ShapeError, match="two-site gate"):
             gates.apply(np.zeros(shape, dtype=complex), 1, np.eye(16, dtype=complex))
+
+    def test_complex_gate_on_a_real_register(self):
+        with pytest.raises(ContractError):
+            gates.apply(gates.rmatrix(0.5), 1, np.eye(16))
+
+    @pytest.mark.parametrize(
+        "stack, register",
+        [((3,), (16, 16)), ((2, 3), (3, 16, 2)), ((2,), (3, 16, 2)), ((3,), (1, 16, 2))],
+        ids=["more-axes-than-a-plain-register", "more-axes-than-the-stack", "mismatched-axis", "axis-over-a-unit-axis"],
+    )
+    def test_gate_stack_that_does_not_broadcast_to_the_register(self, stack, register):
+        with pytest.raises(ShapeError, match="broadcast"):
+            gates.apply(np.zeros((*stack, 4, 4), dtype=complex), 1, np.zeros(register, dtype=complex))
 
     def test_every_parameter_is_required(self):
         parameters = inspect.signature(gates.apply).parameters.values()

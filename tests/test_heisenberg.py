@@ -275,6 +275,26 @@ def both_boundaries(sizes):
     ]
 
 
+def string_terms(n: int, states: np.ndarray, bc: hb.BoundaryCondition) -> tuple[list, list, list]:
+    """(diagonal, sources, images) of H on the columns ``states``, read bond by bond off each state's bit string.
+
+    An aligned bond adds +1/4 to the diagonal; an anti-aligned one adds -1/4
+    and the pair (state's position, the string with the bond's two bits exchanged).
+    """
+    words = [format(state, f"0{n}b") for state in states]
+    bonds = [(i, (i + 1) % n) for i in range(n if bc is PERIODIC else n - 1)]
+    diagonal = [sum(0.25 if word[i] == word[j] else -0.25 for i, j in bonds) for word in words]
+    sources, images = [], []
+    for i, j in bonds:
+        for position, word in enumerate(words):
+            if word[i] != word[j]:
+                exchanged = list(word)
+                exchanged[i], exchanged[j] = word[j], word[i]
+                sources.append(position)
+                images.append(int("".join(exchanged), 2))
+    return diagonal, sources, images
+
+
 def group_order(n: int, bc: hb.BoundaryCondition) -> int:
     # The ring's shift by one site has order n; an open chain's site reversal has order 2.
     return n if bc is PERIODIC else 2
@@ -313,16 +333,29 @@ def momentum_block_from_sector(n: int, n_down: int, m: int) -> np.ndarray:
     return basis.conj().T @ hb.sector_hamiltonian(n, n_down, PERIODIC) @ basis
 
 
+class TestHamiltonianTerms:
+    @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
+    def test_terms_match_string_exchanges(self, n, bc):
+        # Every sector, then all 2^n states as hamiltonian passes them; order included.
+        for states in [hb.sector_basis(n, n_down) for n_down in range(n + 1)] + [np.arange(1 << n)]:
+            diagonal, sources, images = hb._hamiltonian_terms(n, states, bc)
+            expected_diagonal, expected_sources, expected_images = string_terms(n, states, bc)
+            assert diagonal.dtype == np.float64 and diagonal.tolist() == expected_diagonal
+            assert sources.tolist() == expected_sources
+            assert images.tolist() == expected_images
+
+
 class TestMomentumBlocks:
     """Symmetry blocks on both boundaries: ring momenta (ids n), open-chain reflection parities (ids open-n)."""
 
-    @pytest.mark.parametrize("n, bc", both_boundaries([2, 4, 6, 9]))
+    @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
     def test_orbits_match_string_rotations(self, n, bc):
         # g^r of a state's bit string: the ring shifts it by r sites, an open chain reverses it r times.
         order = group_order(n, bc)
         for n_down in range(n + 1):
             states = hb.sector_basis(n, n_down)
-            representatives, shifts, periods = hb._orbits(n, states, bc)
+            returned_order, representatives, shifts, periods = hb._orbits(n, states, bc)
+            assert returned_order == order
             for state, rep, shift, period in zip(states, representatives, shifts, periods):
                 word = format(state, f"0{n}b")
                 images = [shifted(word, r) if bc is PERIODIC else word[:: (-1) ** r] for r in range(order)]
