@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: optimize | ed | bethe | sweep | wavelet | check.
-Exit codes: 0 on success, 1 on numeric or check failure (including I/O
-problems writing outputs), 2 on usage errors.  ``optimize`` writes its report
-even when a check of the suite fails, then exits 1.
+Exit codes: 0 on success, 1 on numeric or check failure (including I/O problems
+writing outputs), 2 on usage errors.  ``optimize`` writes its report even when
+a check of the suite fails, then exits 1.  It and ``sweep`` write to stdout, or
+to the file --out names (an empty --out fails to open).  A sweep is written
+block by block, so one that fails keeps the rows written so far.
 
 Every output, except the report's ``generated_at`` stamp, depends on the
 command line alone.  For ``check`` and ``optimize``, --tolerance replaces each
@@ -21,6 +23,7 @@ degeneracy, counted over all sectors, in one warning line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -30,10 +33,10 @@ from . import bethe, checks, gates, mera, report, wavelet
 from .errors import MeraLabError, ResourceError
 from .heisenberg import BoundaryCondition, four_site_ring, ground_degeneracy, sector_hamiltonian, sector_spectra
 
-#: Largest ``sweep --steps``; the CSV text of a sweep this long is about 100 MB.
+#: Largest ``sweep --steps``; the CSV a sweep this long writes is about 100 MB.
 MAX_SWEEP_STEPS = 1_000_000
 
-#: Sweep rows solved per batched call, which bounds the arrays a long sweep holds at once.
+#: Sweep rows solved, formatted and written per batched call; only the theta grid (8 B a row) grows with --steps.
 #: A fresh 5001-row sweep peaks at 33.4 MB resident at 512 rows, 40.3 MB at 4096, since
 #: each block's arrays must be paged in; 128-row blocks save 0.6 MB more but run slower.
 SWEEP_BLOCK = 512
@@ -60,9 +63,9 @@ def _resolve_tolerance(args: argparse.Namespace) -> float | None:
     return tolerance
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def _output(path: str | None) -> contextlib.AbstractContextManager:
+    """The file ``--out`` names, opened for writing, or stdout when ``--out`` is not given."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -70,14 +73,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise UsageError("optimize supports --sites 4 --bc periodic only")
     rep = report.build_report(entangler=args.entangler, tolerance=_resolve_tolerance(args))
     text = report.document_json(rep)
-    if args.out:
-        _write_text(args.out, text)
+    with _output(args.out) as out:
+        out.write(text)
+    if args.out is not None:
         print(f"report written to {args.out}")
         print(f"theta*/pi = {rep.theta_star_over_pi:.10f}  r = {rep.r:.10f}")
         print(f"energy: ansatz {rep.ground_energy_mera:.12f}  exact {rep.ground_energy_ed:.12f}")
         print(f"fidelity = {rep.fidelity:.15f}")
-    else:
-        sys.stdout.write(text)
     if not checks.all_passed(rep.check_results):
         print("some checks failed", file=sys.stderr)
         return 1
@@ -148,21 +150,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep needs --theta-min <= --theta-max")
     h, _, ground = four_site_ring()
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
-    crossing = np.zeros(args.steps, dtype=bool)
-    lines = ["theta,optimal_r,energy,fidelity,entropy\n"]
-    for start in range(0, args.steps, SWEEP_BLOCK):
-        block = thetas[start : start + SWEEP_BLOCK]
-        energies, ratios, states, gaps = mera.optimal_ratios(gates.entangler_rotations(block), h)
-        crossing[start : start + len(block)] = gaps < CROSSING_GAP
-        columns = (block, ratios, energies, mera.fidelities(states, ground), mera.entanglement_entropies(states, 2))
-        lines.append(_CSV_ROW * len(block) % tuple(np.column_stack(columns).ravel().tolist()))
-    text = "".join(lines)
-    if args.out:
-        _write_text(args.out, text)
+    flagged_by_block = []
+    with _output(args.out) as out:
+        out.write("theta,optimal_r,energy,fidelity,entropy\n")
+        for start in range(0, args.steps, SWEEP_BLOCK):
+            block = thetas[start : start + SWEEP_BLOCK]
+            energies, ratios, states, gaps = mera.optimal_ratios(gates.entangler_rotations(block), h)
+            flagged_by_block.append(block[gaps < CROSSING_GAP])
+            columns = (block, ratios, energies, mera.fidelities(states, ground), mera.entanglement_entropies(states, 2))
+            out.write(_CSV_ROW * len(block) % tuple(np.column_stack(columns).ravel().tolist()))
+    if args.out is not None:
         print(f"sweep written to {args.out} ({args.steps} rows)")
-    else:
-        sys.stdout.write(text)
-    flagged = thetas[crossing]
+    flagged = np.concatenate(flagged_by_block)
     if flagged.size:
         first, last = (format(theta, ".17g") for theta in flagged[[0, -1]])
         print(

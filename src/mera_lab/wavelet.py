@@ -44,7 +44,7 @@ class ScalingFilter(_Taps):
             "shift-2 orthogonality": float(h[0] * h[2] + h[1] * h[3]),
         }
         for label, deviation in checks.items():
-            if abs(deviation) > 1e-12:
+            if not abs(deviation) <= 1e-12:
                 raise ContractError(f"filter violates {label} by {deviation:.3e}")
         return super().__new__(cls, taps)
 

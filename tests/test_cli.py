@@ -177,6 +177,17 @@ class TestOptimize:
     def test_unwritable_output(self):
         assert main(["optimize", "--out", "/nonexistent_dir_zz/report.json"]) == 1
 
+    def test_empty_out_is_a_path_that_fails_to_open(self, capsys):
+        assert main(["optimize", "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: [Errno 2] ")
+
+    def test_usage_error_creates_no_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["optimize", "--sites", "6", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_non_finite_report_value_is_a_numeric_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(report, "build_report", lambda **kwargs: None)
         monkeypatch.setattr(report, "document_json", lambda rep: report._render(math.nan))
@@ -430,8 +441,8 @@ class TestSweep:
         assert cli._CSV_ROW % row == ",".join(format(v, ".17g") for v in row) + "\n"
 
     def test_warm_sweep_traced_peak(self, capsys):
-        # Each block's arrays are freed before the next block is solved, so the
-        # peak is one SWEEP_BLOCK of arrays plus the CSV text (0.5 MB here).
+        # Each block's arrays and CSV text are freed before the next block is
+        # solved, so the peak is one SWEEP_BLOCK of them plus the theta grid.
         argv = ["sweep", "--theta-min", "-1.5", "--theta-max", "1.5", "--steps", "5001"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -445,8 +456,9 @@ class TestSweep:
         assert peak < 3 * 2**20
 
     def test_long_sweep_memory_stays_bounded(self, tmp_path):
-        # Rows are solved SWEEP_BLOCK at a time; one batch of all 100 001 rows
-        # would hold over 150 MB of basis, product and state arrays.
+        # Rows are solved and written SWEEP_BLOCK at a time; one batch of all
+        # 100 001 rows would hold over 150 MB of basis, product and state
+        # arrays, and their joined CSV text alone is 10 MB. The theta grid is 0.8 MB.
         out = tmp_path / "sweep.csv"
         tracemalloc.start()
         try:
@@ -456,7 +468,68 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert len(out.read_text().splitlines()) == 100002
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
+
+    def test_empty_out_is_a_path_that_fails_to_open(self, capsys):
+        assert main(["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", "3", "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: [Errno 2] ")
+
+    @staticmethod
+    def count_ratio_calls(monkeypatch, fail_on=None):
+        """Count ``mera.optimal_ratios`` calls; raise ``NumericError`` on call ``fail_on``."""
+        calls = []
+        solve = mera.optimal_ratios
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) == fail_on:
+                raise NumericError("solver failed")
+            return solve(*args)
+
+        monkeypatch.setattr(mera, "optimal_ratios", counted)
+        return calls
+
+    def test_failing_sweep_keeps_the_blocks_written_before_it(self, tmp_path, capsys, monkeypatch):
+        argv = ["sweep", "--theta-min", "-0.7", "--theta-max", "0.7", "--steps", "1000", "--out"]
+        whole = tmp_path / "whole.csv"
+        assert main([*argv, str(whole)]) == 0
+        capsys.readouterr()
+        self.count_ratio_calls(monkeypatch, fail_on=2)
+        broken = tmp_path / "broken.csv"
+        assert main([*argv, str(broken)]) == 1
+        assert capsys.readouterr() == ("", "error: solver failed\n")
+        expected = whole.read_bytes().splitlines(keepends=True)[: 1 + cli.SWEEP_BLOCK]
+        assert broken.read_bytes() == b"".join(expected)
+
+    def test_broken_pipe_while_writing_rows_exits_1(self, capsys, monkeypatch):
+        class ClosedAfterOneWrite:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosedAfterOneWrite())
+        assert main(["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", "3"]) == 1
+        assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+
+    def test_usage_error_creates_no_file(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unopenable_out_fails_before_any_block_is_solved(self, capsys, monkeypatch):
+        calls = self.count_ratio_calls(monkeypatch)
+        argv = ["sweep", "--theta-min", "-0.1", "--theta-max", "0.1", "--steps", "3"]
+        assert main([*argv, "--out", "/nonexistent_dir_zz/sweep.csv"]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 2] ")
+        assert calls == []
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("bounds", [("-1e-3", "0.1"), ("-0.2", "-1e-1")])
     def test_negative_scientific_bound_as_separate_token(self, capsys, bounds):

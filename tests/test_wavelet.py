@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,21 @@ class TestScalingFilterInvariants:
     def test_bad_taps_rejected(self):
         with pytest.raises(ContractError):
             wavelet.ScalingFilter((1.0, 0.0, 0.0, 0.0))
+
+    # NaN compares false with every bound, so a NaN deviation must fail the check, not pass it.
+    @pytest.mark.parametrize("taps", [(math.nan,) * 4, (math.nan, 0.5, 0.5, 0.5), (math.inf,) * 4, (-math.inf,) * 4])
+    def test_non_finite_taps_rejected(self, taps):
+        with pytest.raises(ContractError):
+            wavelet.ScalingFilter(taps)
+
+    def test_lattice_filter_of_nan_rejected(self):
+        with pytest.raises(ContractError):
+            wavelet.lattice_filter(math.nan)
+
+    def test_lattice_filter_of_inf_rejected(self):
+        # np.cos(inf) is NaN, with numpy's warning.
+        with pytest.raises(ContractError), pytest.warns(RuntimeWarning, match="invalid value"):
+            wavelet.lattice_filter(math.inf)
 
 
 class TestAngleReport:
