@@ -22,8 +22,9 @@ sites) A and B are both the identity outside the m = j - i + 2 sites i..j+1
 that they span, so [A, B] = I (x) C (x) I with C the commutator of the same
 two gates embedded at sites 1 and m - 1 of m, and ||[A, B]||_F equals
 2^((n - m)/2) ||C||_F (``_commutator_norm``).  The norm depends on a pair only
-through its span, so the check forms one commutator per span, m = 4..n, as
-the pair (1, m - 1); the one 2^n x 2^n array is that of m = n = 8.  Because
+through its span, so ``_commutator_norm`` takes the span m, not the pair,
+and the check forms one commutator per span, m = 4..n; the one 2^n x 2^n
+array is that of m = n = 8.  Because
 the supports are disjoint, each entry of either product has exactly one
 nonzero term, the same product of two gate entries in both orders.  The
 contracted products therefore equal the dense ones exactly, and the
@@ -41,17 +42,9 @@ staying in cache.  Each stacked value equals, bit for bit, the value of
 its sample alone.
 
 No BLAS call of the suite is large enough for OpenBLAS to hand it to its
-thread pool, which numpy's bundled OpenBLAS does for a zgemm from about
-4 x 4 x 4096 multiply-adds and for a dot over 10 000 entries.  On a 2-core
-machine such calls waited 6-15 ms each for a worker thread in many fresh
-processes (3 of 16 in one batch, 4 of 8 in another), several times the
-suite's own work.  ``gates.apply`` therefore applies the gate to one slab
-of 4 rows at a time (see the ``gates`` module docstring), and
-``_commutator_norm`` sums the squares in dots of at most ``_DOT_LENGTH``
-entries.  Up to that length (the spans m <= 6 and the adjacent pair) the
-sum is the one pair of dots that ``np.linalg.norm`` takes
-(``mera._squared_norms``), with its bits; the 7- and 8-site spans, whose
-norm is exactly 0, add partial sums.
+thread pool: products go through ``gates.apply`` and norms through
+``gates.norms``, which keep every call on the calling thread (see the
+``gates`` module docstring).
 """
 
 from __future__ import annotations
@@ -76,9 +69,6 @@ _DRAW_SIZES = (100, 3, 400, 100, 100, 100)
 #: Gates per stack of swap-conjugated commutators (see the module docstring).
 _SWAP_STACK = 25
 
-#: Entries per BLAS dot in a commutator's norm (see the module docstring).
-_DOT_LENGTH = 4096
-
 
 class CheckResult(NamedTuple):
     name: str
@@ -87,13 +77,11 @@ class CheckResult(NamedTuple):
     tolerance: float | None
 
 
-def _commutator_norm(gate: np.ndarray, i: int, j: int, n: int) -> float:
-    """Norm of [embed(gate, i, n), embed(gate, j, n)], i < j, formed on the m = j - i + 2 sites i..j+1."""
-    m = j - i + 2
+def _commutator_norm(gate: np.ndarray, m: int, n: int) -> float:
+    """Norm of [embed(gate, i, n), embed(gate, j, n)] for any pair i < j of n sites with span m = j - i + 2, formed on m sites."""
     commutator = gates.apply(gate, 1, gates.embed(gate, m - 1, m))
     commutator -= gates.apply(gate, m - 1, gates.embed(gate, 1, m))
-    squares = mera._squared_norms(commutator.reshape(-1, min(commutator.size, _DOT_LENGTH)))
-    return math.sqrt(float(np.sum(squares))) * math.sqrt(2 ** (n - m))
+    return float(gates.norms(commutator[None])[0]) * math.sqrt(2 ** (n - m))
 
 
 def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
@@ -115,7 +103,7 @@ def _swap_conjugation_defects(stack: np.ndarray) -> np.ndarray:
         inner = gates.embed(chunk, 2, 4)
         outer = swaps @ inner @ swaps
         commutators = gates.apply(chunk, 2, outer) - outer @ inner
-        defects.append(np.sqrt(mera._squared_norms(commutators.reshape(len(chunk), -1))))
+        defects.append(gates.norms(commutators))
     return np.concatenate(defects)
 
 
@@ -154,12 +142,11 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
     worst = 0.0
     for n, angle in zip((4, 6, 8), angles):
         gate = gates.entangler_rotation(float(angle))
-        # The norm depends on the pair only through its span m = j - i + 2, so (1, j) covers m = 4..n.
-        for j in range(3, n):
-            worst = max(worst, _commutator_norm(gate, 1, j, n))
+        for m in range(4, n + 1):
+            worst = max(worst, _commutator_norm(gate, m, n))
     asserted("disjoint_entangler_commutation", worst, 1e-13)
 
-    info("adjacent_entangler_commutator_norm", _commutator_norm(gates.entangler_rotation(0.4), 1, 2, 4))
+    info("adjacent_entangler_commutator_norm", _commutator_norm(gates.entangler_rotation(0.4), 3, 4))
 
     quads = raw.reshape(100, 4)
     rows = (quads / np.sqrt(np.vecdot(quads, quads))[:, None]).reshape(50, 8).tolist()

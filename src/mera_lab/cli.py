@@ -180,14 +180,9 @@ def cmd_wavelet(args: argparse.Namespace) -> int:
     print("D4 scaling taps: " + ", ".join(format(t, ".17g") for t in taps))
     print(f"sum of taps = {sum(taps):.17g}")
     print("angle table (radians / in units of pi):")
-    rows = [
-        ("theta*", angles.theta_star),
-        ("-pi/12", angles.minus_pi_12),
-        ("bethe angle phi", angles.bethe_angle),
-        ("2|theta*|", angles.two_theta),
-        ("arg b at quoted nu", angles.arg_b_quoted),
-    ]
-    for label, value in rows:
+    # One label per angle field of the record, in field order; the deviations follow.
+    labels = ("theta*", "-pi/12", "bethe angle phi", "2|theta*|", "arg b at quoted nu")
+    for label, value in zip(labels, angles[: len(labels)]):
         print(f"  {label:<20} {value:+.12f}  ({value / np.pi:+.6f} pi)")
     print("deviations:")
     for key, value in sorted(angles.deviations.items()):

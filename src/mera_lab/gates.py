@@ -28,10 +28,20 @@ embedding.  It views the 2^n rows of ``matrix`` as (2^(site-1), 4, rest)
 slabs and multiplies one slab of 4 rows at a time, so no BLAS call exceeds
 4 x 4 x cols multiply-adds.  numpy's bundled OpenBLAS hands a zgemm to its
 thread pool from about 4 x 4 x 4096 multiply-adds; on a 2-core machine such
-calls waited 6-15 ms each for a worker thread in many fresh processes,
-several times the work of the check suite that makes them.  With one slab
-per call, a register of fewer than about 4096 columns stays on the calling
-thread whatever its row count.
+calls waited 6-15 ms each for a worker thread in many fresh processes
+(3 of 16 in one batch, 4 of 8 in another), several times the work of the
+check suite that makes them.  With one slab per call, a register of fewer
+than about 4096 columns stays on the calling thread whatever its row count.
+
+:func:`norms` is the one way to take the Frobenius norm of each array of a
+stack, and keeps dots off the thread pool the same way: OpenBLAS hands it a
+dot over 10 000 entries, so the squares are summed in dots of at most
+``_DOT_LENGTH`` (4096) entries.  An array of at most that many entries
+takes the one pair of dots, of its real and imaginary parts, that
+``np.linalg.norm`` takes, with their bits: the circuit states of
+``mera.optimal_ratios`` and every commutator of the check suite up to a
+6-site span.  A larger array adds partial sums; in the suite those are the
+7- and 8-site spans, whose norm is exactly 0.
 
 For complex nu the weight matrix is deliberately returned as-is (neither
 rejected nor rescaled): downstream state constructions renormalize, and the
@@ -52,6 +62,9 @@ from .heisenberg import _check_site_count
 
 #: Guard radius around the pole of the weight functions at nu = -2i.
 _POLE_GUARD = 1e-12
+
+#: Entries per BLAS dot in :func:`norms` (see the module docstring).
+_DOT_LENGTH = 4096
 
 ROTATION = "rotation"
 RMATRIX = "rmatrix"
@@ -197,6 +210,21 @@ def apply(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
     out = product.reshape(slabs).swapaxes(-3, -2)
     np.matmul(gate[..., None, None, :, :], matrix.reshape(slabs).swapaxes(-3, -2), out=out)
     return product
+
+
+def norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each array of ``stack`` [k, ...], as k floats; an empty stack gives an empty array.
+
+    The squares of each array's real and imaginary parts are summed in BLAS
+    dots of at most ``_DOT_LENGTH`` entries (see the module docstring), so
+    an array of at most that many entries gets the bits of
+    ``np.linalg.norm``, and a larger one the sum of its chunks' dots.
+    """
+    size = math.prod(stack.shape[1:])
+    # Each array in one dot when it fits, else in equal chunks: the largest power of 2 up to _DOT_LENGTH dividing it.
+    chunk = math.gcd(size, _DOT_LENGTH) if size > _DOT_LENGTH else max(size, 1)
+    rows = stack.reshape(len(stack), size // chunk, chunk)
+    return np.sqrt(np.sum(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag), axis=-1))
 
 
 def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:

@@ -147,9 +147,10 @@ def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np
     that of every block, and an exchange image of a that l applications of g
     map onto representative b adds 1/2 e^{-2 pi i m l / N} sqrt(p_a / p_b)
     to <b|H_m|a>. Block N - m is the complex conjugate of block m and is not
-    returned. When 2m = 0 (mod N) every phase is +/-1 and the block is
-    assembled real; every other block is complex, its phases read from one
-    table of the N-th roots of unity.
+    returned. Every phase is read from one table of the N-th roots of unity;
+    when 2m = 0 (mod N) each is +/-1, whose table entries have real parts
+    exactly +/-1.0, and the block is assembled real from those; every other
+    block is complex.
     """
     states = sector_basis(n, n_down)
     order, representative, shift, period = _orbits(n, states, bc)
@@ -164,10 +165,9 @@ def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np
     roots = np.exp(-2j * np.pi * np.arange(order) / order)
     blocks = []
     for m in range(order // 2 + 1):
+        phases = roots[m * shifts % order]
         if 2 * m % order == 0:
-            phases = np.where(m * shifts % order == 0, 1.0, -1.0)
-        else:
-            phases = roots[m * shifts % order]
+            phases = phases.real
         h_m = np.diag(diagonal).astype(phases.dtype, copy=False)
         np.add.at(h_m, (targets, sources), weights * phases)
         kept = np.flatnonzero(m * periods % order == 0)

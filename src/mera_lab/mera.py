@@ -36,8 +36,9 @@ package imports no scipy.
 Batching keeps every bit of the one-gate, one-state steps because the same
 numpy primitive carries them: ``np.einsum`` forms the gate products of both
 the circuit and the mirrored family, ``np.vecdot`` is the BLAS dot of
-``np.vdot``, and ``np.float_power`` squares a fidelity's modulus with libm
-``pow``.
+``np.vdot``, ``gates.norms`` takes the two dots of ``np.linalg.norm`` for
+each of a stack of states, and ``np.float_power`` squares a fidelity's
+modulus with libm ``pow``.
 """
 
 from __future__ import annotations
@@ -93,10 +94,7 @@ class IsometryParams(NamedTuple):
         ``np.sum`` adds four values.
         """
         worst = 0.0
-        for name, (a, b, c, d) in (
-            ("left", (self.l00, self.l01, self.l10, self.l11)),
-            ("right", (self.r00, self.r01, self.r10, self.r11)),
-        ):
+        for name, (a, b, c, d) in (("left", self[:4]), ("right", self[4:])):
             total = float(a * a + b * b + c * c + d * d)
             deviation = abs(total - 1.0)
             if not deviation <= 1e-12:
@@ -161,10 +159,13 @@ def trial_state(gate: np.ndarray, iso: IsometryParams) -> TrialState:
     """Apply the four circuit layers of the 4x4 ``gate`` to the IR state of ``iso`` and normalize.
 
     Renormalization only kicks in for non-unitary gates (complex spectral
-    parameter); ``norm_applied`` records whether it did.
+    parameter); ``norm_applied`` records whether it did.  A gate whose
+    products overflow, or a non-finite one, gives a non-finite norm and
+    raises :class:`DomainError` without a warning.
     """
-    state = circuit_matrix(gate) @ ir_state(iso)
-    raw_norm = float(np.linalg.norm(state))
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = circuit_matrix(gate) @ ir_state(iso)
+        raw_norm = float(np.linalg.norm(state))
     if not _DEGENERATE_NORM <= raw_norm < math.inf:
         raise DomainError(f"circuit output has norm {raw_norm!r} (degenerate or non-finite input)")
     norm_applied = abs(raw_norm - 1.0) > 1e-13
@@ -172,14 +173,19 @@ def trial_state(gate: np.ndarray, iso: IsometryParams) -> TrialState:
 
 
 def variational_state(gate: np.ndarray, r: float) -> np.ndarray:
-    """Normalized state of the mirrored family of the 4x4 ``gate`` at ratio r = -R01/R10: u = R01 and q = R10."""
+    """Normalized state of the mirrored family of the 4x4 ``gate`` at ratio r = -R01/R10: u = R01 and q = R10.
+
+    A state whose norm is degenerate or not finite, as for a gate whose
+    products overflow, raises :class:`DomainError` without a warning.
+    """
     if not math.isfinite(r):
         raise DomainError(f"ratio r = {r!r} is non-finite")
     r10 = 1.0 / np.hypot(1.0, r)
     r01 = -r * r10
-    basis = _mirrored_basis(gate[None])[0]
-    psi = r01 * basis[0] + r10 * basis[1]
-    norm = float(np.linalg.norm(psi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = _mirrored_basis(gate[None])[0]
+        psi = r01 * basis[0] + r10 * basis[1]
+        norm = float(np.linalg.norm(psi))
     if not _DEGENERATE_NORM <= norm < math.inf:
         raise DomainError(f"variational state has norm {norm!r} (degenerate or non-finite input)")
     return psi / norm
@@ -249,11 +255,6 @@ def _pencil_eigh(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, y * inverse[:, :, None]
 
 
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Sum of |x|^2 over each row of ``rows`` [k, l], with the two BLAS dots per row that ``np.linalg.norm`` takes."""
-    return np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
-
-
 def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form energy minimum over the two-amplitude family, for each gate of a stack.
 
@@ -263,21 +264,25 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
     lowest energies [z], the ratios r = -u/q [z], the normalized states
     [z, 16] and the gaps [z] between the two levels (near 0 at a level
     crossing, where r jumps).  Each row equals, bit for bit, what the same
-    steps give for that gate alone: the projections and the state norm use
-    ``np.vecdot``, the same BLAS dot as ``np.vdot`` and ``np.linalg.norm``.
-    A non-finite gate, a vanishing q or a ratio that is not real raises
-    :class:`NumericError`; a finite gate that does not conserve Sz, whose
-    overlap matrix need not be diagonal, raises :class:`ContractError`; a
-    stack that is not [z, 4, 4] raises :class:`ShapeError`.
+    steps give for that gate alone: the projections use ``np.vecdot``, the
+    same BLAS dot as ``np.vdot``, and the state norm ``gates.norms``, the
+    dots of ``np.linalg.norm``.  A non-finite gate, a vanishing q or a ratio
+    that is not real raises :class:`NumericError`, and so does a finite gate
+    whose products overflow, through the pencil's check and without a
+    warning; a finite gate that does not conserve Sz, whose overlap matrix
+    need not be diagonal, raises :class:`ContractError`; a stack that is not
+    [z, 4, 4] raises :class:`ShapeError`.
     """
-    basis = _mirrored_basis(gate_stack)
+    _check_gates(gate_stack, 3)
     if not np.isfinite(gate_stack).all():
         raise NumericError("ratio optimization failed: the gate has non-finite entries")
     if (gate_stack[:, _SZ_CHANGING] != 0.0).any():
         raise ContractError("the mirrored family needs a gate that conserves Sz")
-    h_basis = (h @ basis[..., None])[..., 0]
-    hm = np.vecdot(basis[:, :, None, :], h_basis[:, None, :, :])
-    values, vectors = _pencil_eigh(hm, np.vecdot(basis, basis).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = _mirrored_basis(gate_stack)
+        h_basis = (h @ basis[..., None])[..., 0]
+        hm = np.vecdot(basis[:, :, None, :], h_basis[:, None, :, :])
+        values, vectors = _pencil_eigh(hm, np.vecdot(basis, basis).real)
     u, q = vectors[:, 0, 0], vectors[:, 1, 0]
     if (np.abs(q) < 1e-300).any():
         raise NumericError("optimal ratio diverged (q amplitude vanished)")
@@ -285,8 +290,7 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
     if (np.abs(ratios.imag) > 1e-9 * np.maximum(1.0, np.abs(ratios.real))).any():
         raise NumericError(f"optimal ratio is not real: {ratios[np.argmax(np.abs(ratios.imag))]!r}")
     states = u[:, None] * basis[:, 0] + q[:, None] * basis[:, 1]
-    norms = np.sqrt(_squared_norms(states))
-    return values[:, 0], ratios.real, states / norms[:, None], values[:, 1] - values[:, 0]
+    return values[:, 0], ratios.real, states / gates.norms(states)[:, None], values[:, 1] - values[:, 0]
 
 
 def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:

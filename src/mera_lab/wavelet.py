@@ -36,13 +36,15 @@ class ScalingFilter(_Taps):
 
     def __new__(cls, taps: tuple[float, float, float, float]) -> ScalingFilter:
         h = np.asarray(taps, dtype=float)
-        if h.shape != (4,):
-            raise ContractError(f"expected exactly 4 taps, got {h.shape}")
-        checks = {
-            "sum(h) = sqrt(2)": float(h.sum()) - float(np.sqrt(2.0)),
-            "sum(h^2) = 1": float((h ** 2).sum()) - 1.0,
-            "shift-2 orthogonality": float(h[0] * h[2] + h[1] * h[3]),
-        }
+        if h.shape != (4,) or not np.isfinite(h).all():
+            raise ContractError(f"expected exactly 4 finite taps, got {taps!r}")
+        # Finite taps whose squares or products overflow give an infinite deviation.
+        with np.errstate(over="ignore"):
+            checks = {
+                "sum(h) = sqrt(2)": float(h.sum()) - float(np.sqrt(2.0)),
+                "sum(h^2) = 1": float((h ** 2).sum()) - 1.0,
+                "shift-2 orthogonality": float(h[0] * h[2] + h[1] * h[3]),
+            }
         for label, deviation in checks.items():
             if not abs(deviation) <= 1e-12:
                 raise ContractError(f"filter violates {label} by {deviation:.3e}")

@@ -71,6 +71,10 @@ class TestMomenta:
     def test_zero_rapidity_maps_to_pi(self):
         assert abs(bethe.momenta_from_roots([0.0])[0] - np.pi) < 1e-14
 
+    def test_negative_zero_rapidity_maps_to_pi(self):
+        # (-0 + i)/(-0 - i) = -1 - 0i, whose angle is -pi; the momentum is folded into (-pi, pi].
+        assert bethe.momenta_from_roots([-0.0]) == [np.pi]
+
     def test_complex_root_rejected(self):
         with pytest.raises(DomainError):
             bethe.momenta_from_roots([0.5 + 0.5j])
@@ -122,6 +126,11 @@ class TestOneMagnonTable:
     def test_finite_rapidities(self):
         roots = bethe.one_magnon_roots(4)
         assert np.allclose(roots, [1.0, 0.0, -1.0], atol=1e-14)
+
+    @pytest.mark.parametrize("L", [1, 0, -3])
+    def test_chain_shorter_than_two_sites_rejected(self, L):
+        with pytest.raises(DomainError, match="too short"):
+            bethe.one_magnon_roots(L)
 
     def test_energies_appear_in_sector_spectrum(self):
         from mera_lab.heisenberg import sector_hamiltonian

@@ -50,7 +50,7 @@ def all_disjoint_pairs_worst() -> float:
         gate = gates.entangler_rotation(float(angle))
         for i in range(1, n - 2):
             for j in range(i + 2, n):
-                worst = max(worst, checks._commutator_norm(gate, i, j, n))
+                worst = max(worst, checks._commutator_norm(gate, j - i + 2, n))
     return worst
 
 
@@ -116,7 +116,7 @@ class TestDisjointCommutators:
         rng = np.random.default_rng(100 + n)
         gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for i, j in site_pairs(n):
-            norm = checks._commutator_norm(gate, i, j, n)
+            norm = checks._commutator_norm(gate, j - i + 2, n)
             if j >= i + 2:
                 assert norm == 0.0
             else:
@@ -143,13 +143,13 @@ class TestDisjointCommutators:
         calls = []
         helper = checks._commutator_norm
 
-        def counted(gate, i, j, n):
-            calls.append((i, j, n))
-            return helper(gate, i, j, n)
+        def counted(gate, m, n):
+            calls.append((m, n))
+            return helper(gate, m, n)
 
         monkeypatch.setattr(checks, "_commutator_norm", counted)
         checks.run_checks()
-        assert calls == [(1, j, n) for n in (4, 6, 8) for j in range(3, n)] + [(1, 2, 4)]
+        assert calls == [(m, n) for n in (4, 6, 8) for m in range(4, n + 1)] + [(3, 4)]
 
 
 class TestGateApplication:
@@ -216,9 +216,9 @@ class TestCommutatorNorm:
         gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         commutator = gates.apply(gate, 1, gates.embed(gate, m - 1, m))
         commutator -= gates.apply(gate, m - 1, gates.embed(gate, 1, m))
-        norm = checks._commutator_norm(gate, 1, m - 1, m)
+        norm = checks._commutator_norm(gate, m, m)
         assert norm > 0.0
-        if commutator.size <= checks._DOT_LENGTH:
+        if commutator.size <= gates._DOT_LENGTH:
             # One pair of BLAS dots, the ones np.linalg.norm takes.
             assert norm == float(np.linalg.norm(commutator))
         else:

@@ -738,3 +738,23 @@ class TestArgvOnly:
                 if "os.environ" in name or "os.getenv" in name:
                     uses.append(f"{path.name}:{node.lineno}: {name}")
         assert uses == []
+
+    def test_no_module_reads_another_modules_private_names(self):
+        # A rule another module needs belongs in a public function of the module that owns it.
+        package = pathlib.Path(cli.__file__).parent
+        imported, reads = set(), []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            modules = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                for alias in node.names
+            }
+            imported.update((path.stem, module) for module in modules)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                    if node.attr.startswith("_"):
+                        reads.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+        assert ("checks", "mera") in imported
+        assert reads == []

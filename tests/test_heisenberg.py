@@ -364,6 +364,14 @@ class TestMomentumBlocks:
                 assert period == next(r for r in range(1, order + 1) if images[r % order] == word)
                 assert np.count_nonzero(representatives == rep) == period
 
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_real_blocks_read_exact_signs_from_the_roots_table(self, order):
+        # Where 2m = 0 (mod N), symmetry_blocks assembles the block from the real parts of
+        # its table of N-th roots of unity; those must be exactly +1 and -1.
+        roots = np.exp(-2j * np.pi * np.arange(order) / order)
+        signs = [r for r in range(order) if 2 * r % order == 0]
+        assert roots[signs].real.tolist() == [1.0, -1.0][: len(signs)]
+
     @pytest.mark.parametrize("n, bc", both_boundaries([2, 5, 8]))
     def test_orbits_run_once_per_sector(self, monkeypatch, n, bc):
         # Every exchange image lies in the sector, so its orbit comes from the sector's table.

@@ -147,6 +147,9 @@ SPECTRAL_PARAMETERS = st.complex_numbers(max_magnitude=10.0).filter(lambda nu: a
 GATE_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150))
 GATE_ENTRIES = st.builds(complex, GATE_PARTS, GATE_PARTS)
 
+#: A finite gate whose circuit products overflow, and a gate with no finite entry.
+OVERFLOWING_GATES = [np.eye(4, dtype=complex) * 1e200, np.full((4, 4), np.inf, dtype=complex)]
+
 
 def random_iso(rng: np.random.Generator) -> mera.IsometryParams:
     raw = rng.normal(size=8)
@@ -226,14 +229,20 @@ class TestIrState:
 
 
 class TestTrialState:
-    # inf arithmetic before the guard warns "invalid value"; the guard is what is tested.
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_circuit_output_raises(self, monkeypatch, bad):
         monkeypatch.setattr(mera, "circuit_matrix", lambda gate: np.full((16, 16), bad, dtype=complex))
         iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
         with pytest.raises(DomainError, match="non-finite"):
             mera.trial_state(gates.entangler_rotation(0.3), iso)
+
+    @pytest.mark.parametrize("gate", OVERFLOWING_GATES, ids=["1e200", "inf"])
+    def test_overflowing_gate_raises_without_a_warning(self, gate):
+        iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="circuit output has norm nan"):
+                mera.trial_state(gate, iso)
 
     def test_zero_angle_returns_ir_state(self):
         rng = np.random.default_rng(32)
@@ -401,6 +410,28 @@ class TestOptimalRatio:
             assert (energy, r) == reference_optimal_ratio(gate, h4)[:2]
             assert bit_equal(state, reference_optimal_ratio(gate, h4)[2])
 
+    def test_overflowing_gate_raises_without_a_warning(self, h4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="the 2x2 pencil has non-finite entries"):
+                mera.optimal_ratio(np.eye(4, dtype=complex) * 1e200, h4)
+
+    @pytest.mark.parametrize("gate", [np.diag(np.full(4, np.inf)), OVERFLOWING_GATES[1]], ids=["diagonal", "full"])
+    def test_non_finite_gate_is_refused_before_the_family_is_formed(self, h4, monkeypatch, gate):
+        def unreachable(stack):
+            raise AssertionError("the family was formed")
+
+        monkeypatch.setattr(mera, "_mirrored_basis", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="the gate has non-finite entries"):
+                mera.optimal_ratio(gate, h4)
+
+    def test_empty_stack_gives_empty_arrays(self, h4):
+        energies, ratios, states, gaps = mera.optimal_ratios(np.zeros((0, 4, 4), dtype=complex), h4)
+        assert energies.shape == ratios.shape == gaps.shape == (0,)
+        assert states.shape == (0, 16)
+
     def test_degenerate_gates_raise_numeric_error(self, h4):
         # A zero gate makes the overlap matrix vanish; a NaN gate makes the pencil non-finite.
         for gate in (np.zeros((4, 4), dtype=complex), np.full((4, 4), np.nan, dtype=complex)):
@@ -518,6 +549,17 @@ class TestVariationalState:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="non-finite"):
                 mera.variational_state(gates.entangler_rotation(0.3), r)
+
+    @pytest.mark.parametrize("gate", OVERFLOWING_GATES, ids=["1e200", "inf"])
+    def test_overflowing_gate_raises_without_a_warning(self, gate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="variational state has norm nan"):
+                mera.variational_state(gate, 1.0)
+
+    def test_zero_gate_raises(self):
+        with pytest.raises(DomainError, match="variational state has norm 0.0"):
+            mera.variational_state(np.zeros((4, 4)), 1.0)
 
 
 class TestThetaSolvers:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ class TestScalingFilterInvariants:
     @pytest.mark.parametrize("taps", [(math.nan,) * 4, (math.nan, 0.5, 0.5, 0.5), (math.inf,) * 4, (-math.inf,) * 4])
     def test_non_finite_taps_rejected(self, taps):
         with pytest.raises(ContractError):
+            wavelet.ScalingFilter(taps)
+
+    # Each tap set once warned (invalid value, overflow) before it was refused.
+    @pytest.mark.parametrize("taps", [(math.inf, 0.0, 0.0, 0.0), (math.inf, -math.inf, 0.5, 0.5), (1e200, 0.0, 0.0, 0.0)])
+    def test_refused_without_a_warning(self, taps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError):
+                wavelet.ScalingFilter(taps)
+
+    @pytest.mark.parametrize("taps", [(), (SQRT2,), (0.5, 0.5, 0.5, 0.5, 0.0), ((0.5, 0.5), (0.5, 0.5))])
+    def test_tap_count_other_than_four_rejected(self, taps):
+        with pytest.raises(ContractError, match="exactly 4"):
             wavelet.ScalingFilter(taps)
 
     def test_lattice_filter_of_nan_rejected(self):
