@@ -92,13 +92,23 @@ def _exchange_gates(diagonal, upper, lower) -> np.ndarray:
     return stack
 
 
+def _check_scalar(value, name: str) -> None:
+    """Raise :class:`ShapeError`, naming the shape of ``value``, unless it is a scalar."""
+    # Python and numpy scalars skip np.ndim, which for a Python complex costs more than
+    # the rest of bc; the check suite builds a few hundred weight pairs per process.
+    if not isinstance(value, (int, float, complex)) and np.ndim(value) != 0:
+        raise ShapeError(f"expected a scalar {name}, got shape {np.shape(value)}")
+
+
 def entangler_rotation(theta: float) -> np.ndarray:
     """Rotation entangler: mixes |01> and |10>, leaves |00> and |11> alone.
 
     Columns: |01> -> cos(theta)|01> - sin(theta)|10>,
              |10> -> sin(theta)|01> + cos(theta)|10>.
-    This is :func:`entangler_rotations` of one angle.
+    This is :func:`entangler_rotations` of one angle; an angle that is not a
+    scalar raises :class:`ShapeError`.
     """
+    _check_scalar(theta, "angle")
     return entangler_rotations([theta])[0]
 
 
@@ -132,8 +142,10 @@ def bc(nu: complex) -> BCFunctions:
 
     A nu within ``_POLE_GUARD`` of the pole, or one for which a weight is not
     finite (a non-finite nu, or a division that overflows, which needs |nu|
-    above 1e307), raises :class:`DomainError`.
+    above 1e307), raises :class:`DomainError`; a nu that is not a scalar
+    raises :class:`ShapeError`.
     """
+    _check_scalar(nu, "spectral parameter")
     nu = complex(nu)
     denominator = nu + 2j
     # math.hypot returns inf where abs() of the complex would raise OverflowError.
@@ -150,7 +162,8 @@ def rmatrix(nu: complex) -> np.ndarray:
 
     Unitary exactly for real nu.  For complex nu the matrix is returned
     unaltered; callers own any renormalization.  This is :func:`rmatrices`
-    of one parameter.
+    of one parameter, so a nu that is not a scalar raises :class:`ShapeError`
+    in :func:`bc`.
     """
     return rmatrices([nu])[0]
 

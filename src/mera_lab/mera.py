@@ -29,9 +29,10 @@ eigenproblem.  For a gate that conserves Sz its overlap matrix is diagonal:
 the u state lives where s1 != s4 and the q state where s1 = s4.
 :func:`optimal_ratios` solves these pencils for a whole stack of gates at
 once (:func:`_pencil_eigh`), each with the same bits as a solve of that gate
-alone; :func:`optimal_ratio` is the stack of one.  The numeric angle search
-and the CLI sweep pass their angle grids through it in a few calls, and the
-package imports no scipy.
+alone; :func:`optimal_ratio` is the stack of one.  The CLI sweep passes its
+angle grid through it in blocks, and the numeric angle search brackets its
+minimum from a coarse pass over its grid and a fine pass around the coarse
+minimum, two calls of 32 and at most 65 angles; the package imports no scipy.
 
 Batching keeps every bit of the one-gate, one-state steps because the same
 numpy primitive carries them: ``np.einsum`` forms the gate products of both
@@ -58,6 +59,9 @@ _DEGENERATE_NORM = 1e-12
 
 #: Smallest normal float: a squared norm or weight below it has lost significant bits.
 _TINY = np.finfo(float).tiny
+
+#: Stride of the coarse pass over the numeric angle search's grid.
+_GRID_STRIDE = 32
 
 
 class IsometryParams(NamedTuple):
@@ -176,10 +180,12 @@ def variational_state(gate: np.ndarray, r: float) -> np.ndarray:
     """Normalized state of the mirrored family of the 4x4 ``gate`` at ratio r = -R01/R10: u = R01 and q = R10.
 
     A state whose norm is degenerate or not finite, as for a gate whose
-    products overflow, raises :class:`DomainError` without a warning.
+    products overflow, raises :class:`DomainError` without a warning; a gate
+    that is not 4x4 raises :class:`ShapeError`.
     """
     if not math.isfinite(r):
         raise DomainError(f"ratio r = {r!r} is non-finite")
+    _check_gates(gate, 2)
     r10 = 1.0 / np.hypot(1.0, r)
     r01 = -r * r10
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,7 +300,11 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
 
 
 def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """:func:`optimal_ratios` for one gate: (energy, r, normalized state)."""
+    """:func:`optimal_ratios` for one gate: (energy, r, normalized state).
+
+    A gate that is not 4x4 raises :class:`ShapeError`.
+    """
+    _check_gates(gate, 2)
     energies, ratios, states, _ = optimal_ratios(gate[None], h)
     return float(energies[0]), float(ratios[0]), states[0]
 
@@ -328,29 +338,40 @@ def solve_theta_numeric() -> ThetaSolution:
     theta in (-pi/4, pi/4), with the ratio r eliminated per angle through the
     closed-form 2x2 eigenproblem: coarse grid bracketing, bounded scalar
     minimization to 1e-12 in theta, then a parabolic vertex fit to average
-    out the flat floating-point floor around the minimum.  The 999 grid
-    angles are solved in one :func:`optimal_ratios` call, the bounded step
-    one angle at a time, and the parabola's three points in one call.  The
-    bounded step is an in-package Brent minimizer that follows scipy's
-    ``minimize_scalar(method="bounded")`` step for step.  The energy has
-    period pi/2: the gate at theta + pi/2 is the gate at theta after a signed
-    swap, which maps the flip-symmetric IR family onto itself (u -> -u).
+    out the flat floating-point floor around the minimum.  The bracket is
+    centred on the minimum of the 999 grid angles with |theta| < pi/4, found
+    from 97 of them in two :func:`optimal_ratios` calls: every 32nd angle,
+    then the angles within one stride of the coarse minimum.  The energy
+    falls strictly, then rises strictly, on the grid, so this is the minimum
+    of all 999.  The bounded step is an in-package Brent minimizer that
+    follows scipy's ``minimize_scalar(method="bounded")`` step for step, one
+    angle at a time; the parabola's three points are solved in one call.
+    The energy has period pi/2: the gate at theta + pi/2 is the gate at
+    theta after a signed swap, which maps the flip-symmetric IR family onto
+    itself (u -> -u).
     """
     h, _, ground = four_site_ring()
 
     def energy_at(theta: float) -> float:
         return optimal_ratio(gates.entangler_rotation(theta), h)[0]
 
+    def energies(thetas: np.ndarray) -> np.ndarray:
+        return optimal_ratios(gates.entangler_rotations(thetas), h)[0]
+
     # Grid points 501..1499 are exactly those with |theta| < pi/4; the bracket
     # is read off the full grid so that its end points keep the same bits.
+    # The energy falls strictly, then rises strictly, on those points, so
+    # their minimum lies within one stride of the minimum over every
+    # _GRID_STRIDE-th of them.
     grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
-    values = optimal_ratios(gates.entangler_rotations(grid[501:1500]), h)[0]
-    k = 501 + int(np.argmin(values))
+    coarse = np.arange(501, 1500, _GRID_STRIDE)
+    centre = int(coarse[np.argmin(energies(grid[coarse]))])
+    lo, hi = max(centre - _GRID_STRIDE, 501), min(centre + _GRID_STRIDE, 1499)
+    k = lo + int(np.argmin(energies(grid[lo : hi + 1])))
     theta = float(_minimize_bounded(energy_at, grid[k - 1], grid[k + 1], xatol=1e-12))
 
     step = 1e-5
-    points = gates.entangler_rotations([theta - step, theta, theta + step])
-    e_minus, e_zero, e_plus = map(float, optimal_ratios(points, h)[0])
+    e_minus, e_zero, e_plus = map(float, energies([theta - step, theta, theta + step]))
     curvature = e_minus - 2.0 * e_zero + e_plus
     if curvature > 0.0:
         theta += 0.5 * step * (e_minus - e_plus) / curvature

@@ -16,6 +16,7 @@ the D4 filter of the Daubechies family.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +64,13 @@ class AngleReport(NamedTuple):
 
 
 def lattice_filter(theta1: float) -> ScalingFilter:
-    """Filter from the two-rotation lattice at theta2 = pi/4 - theta1, on the DC line."""
+    """Filter from the two-rotation lattice at theta2 = pi/4 - theta1, on the DC line.
+
+    A non-finite angle raises :class:`ContractError` before any trigonometry,
+    so without numpy's warning.
+    """
+    if not math.isfinite(theta1):
+        raise ContractError(f"lattice angle must be finite, got {theta1!r}")
     theta2 = _QUARTER_PI - theta1
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)

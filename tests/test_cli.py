@@ -653,6 +653,25 @@ class TestImports:
         runs = [["optimize"], ["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "501"], ["ed", "--sites", "12"]]
         assert self.loaded_after(runs, ("dataclasses", "scipy")) == "[]"
 
+    @pytest.mark.parametrize(
+        "argv", [["optimize"], ["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "5001"], ["ed", "--sites", "12"]]
+    )
+    def test_main_imports_no_package_or_numpy_module(self, argv):
+        # Every module a command needs is loaded by `import mera_lab.cli`, so the import's cost is not
+        # moved into the command's run time.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import contextlib, io, sys\n"
+            "from mera_lab import cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(sorted(name for name in set(sys.modules) - before if name.partition('.')[0] in ('mera_lab', 'numpy')))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
 
 class TestThreadCount:
     """The pinned bytes do not depend on how many threads OpenBLAS runs."""

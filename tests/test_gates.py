@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ class TestRotationStack:
         assert gates.entangler_rotations(np.array([])).shape == (0, 4, 4)
         with pytest.raises(ShapeError):
             gates.entangler_rotations(np.zeros((2, 2)))
+
+
+class TestScalarParameters:
+    # A single builder names the shape its caller passed, not that of the stack of one it builds.
+    NON_SCALARS = [np.array([1.0, 2.0]), np.array([0.5]), np.zeros((2, 3)), [[0.1]]]
+
+    @pytest.mark.parametrize("theta", NON_SCALARS)
+    def test_rotation_of_a_non_scalar_angle(self, theta):
+        with pytest.raises(ShapeError, match=f"^expected a scalar angle, got shape {re.escape(str(np.shape(theta)))}$"):
+            gates.entangler_rotation(theta)
+
+    @pytest.mark.parametrize("build", [gates.bc, gates.rmatrix])
+    @pytest.mark.parametrize("nu", NON_SCALARS)
+    def test_weights_of_a_non_scalar_parameter(self, build, nu):
+        expected = f"^expected a scalar spectral parameter, got shape {re.escape(str(np.shape(nu)))}$"
+        with pytest.raises(ShapeError, match=expected):
+            build(nu)
+
+    def test_zero_dimensional_arrays_are_scalars(self):
+        assert np.array_equal(gates.entangler_rotation(np.array(0.3)), gates.entangler_rotation(0.3))
+        assert gates.bc(np.array(2.0)) == gates.bc(2.0)
+        assert np.array_equal(gates.rmatrix(np.float64(2.0)), gates.rmatrix(2.0))
 
 
 class TestSwap:

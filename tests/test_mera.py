@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -337,23 +338,24 @@ class TestCircuitMatrix:
 
 
 class TestGateShape:
-    # A gate that is not 4x4 is refused where it enters, with the ShapeError that gates.embed raises.
+    # A gate that is not 4x4 is refused where it enters, naming the shape the caller passed.
     BAD = np.eye(3, dtype=complex)
+    MESSAGE = "^" + re.escape("expected a 4x4 two-site gate, got shape (3, 3)") + "$"
 
     def test_circuit_matrix(self):
-        with pytest.raises(ShapeError, match="4x4"):
+        with pytest.raises(ShapeError, match=self.MESSAGE):
             mera.circuit_matrix(self.BAD)
 
     def test_trial_state(self):
-        with pytest.raises(ShapeError, match="4x4"):
+        with pytest.raises(ShapeError, match=self.MESSAGE):
             mera.trial_state(self.BAD, mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8))
 
     def test_variational_state(self):
-        with pytest.raises(ShapeError, match="4, 4"):
+        with pytest.raises(ShapeError, match=self.MESSAGE):
             mera.variational_state(self.BAD, 2.0)
 
     def test_optimal_ratio(self, h4):
-        with pytest.raises(ShapeError, match="4, 4"):
+        with pytest.raises(ShapeError, match=self.MESSAGE):
             mera.optimal_ratio(self.BAD, h4)
 
     @pytest.mark.parametrize("stack", [BAD[None], np.eye(4, dtype=complex), np.zeros((2, 4, 3), dtype=complex)])
@@ -608,11 +610,12 @@ class TestThetaSolvers:
         monkeypatch.setattr(mera, "optimal_ratios", counting)
         mera.solve_theta_numeric.cache_clear()
         assert mera.solve_theta_numeric() == cached
-        assert solves <= 1100
+        assert solves <= 120
         assert calls <= 100
 
     def test_numeric_search_call_shapes(self, monkeypatch):
-        # The grid in one call, Brent one angle at a time, the parabola's three points, the final solve.
+        # The coarse grid, the window around its minimum, Brent one angle at a time, the parabola's three
+        # points, the final solve.
         cached = mera.solve_theta_numeric()
         sizes = []
         original = mera.optimal_ratios
@@ -626,9 +629,33 @@ class TestThetaSolvers:
         solution = mera.solve_theta_numeric()
         assert solution == cached
         assert all(type(value) is float for value in (solution.theta, solution.r, solution.energy, solution.fidelity))
-        assert sizes[0] == 999
+        assert sizes[:2] == [32, 65]
         assert sizes[-2:] == [3, 1]
-        assert len(sizes) > 3 and set(sizes[1:-2]) == {1}
+        assert len(sizes) > 4 and set(sizes[2:-2]) == {1}
+
+    def test_grid_energies_are_unimodal_and_bracketed_at_their_argmin(self, h4, monkeypatch):
+        # The two-level bracket relies on the energy falling strictly, then rising strictly, on the grid
+        # points with |theta| < pi/4; it must pick the argmin of all 999 energies.
+        grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
+        energies = mera.optimal_ratios(gates.entangler_rotations(grid[501:1500]), h4)[0]
+        k = int(np.argmin(energies))
+        steps = np.diff(energies)
+        assert 0 < k < len(energies) - 1
+        assert (steps[:k] < 0.0).all() and (steps[k:] > 0.0).all()
+        brackets = []
+        original = mera._minimize_bounded
+
+        def recording(func, a, b, xatol):
+            brackets.append((a, b))
+            return original(func, a, b, xatol)
+
+        monkeypatch.setattr(mera, "_minimize_bounded", recording)
+        mera.solve_theta_numeric.cache_clear()
+        try:
+            mera.solve_theta_numeric()
+        finally:
+            mera.solve_theta_numeric.cache_clear()
+        assert brackets == [(grid[501 + k - 1], grid[501 + k + 1])]
 
     def test_energy_stationary_at_optimum(self, h4):
         sol = mera.solve_theta_analytic()

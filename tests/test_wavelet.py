@@ -98,9 +98,12 @@ class TestScalingFilterInvariants:
             wavelet.lattice_filter(math.nan)
 
     def test_lattice_filter_of_inf_rejected(self):
-        # np.cos(inf) is NaN, with numpy's warning.
-        with pytest.raises(ContractError), pytest.warns(RuntimeWarning, match="invalid value"):
-            wavelet.lattice_filter(math.inf)
+        # Refused before np.cos and np.sin, which warn on an infinite angle.
+        for angle in (math.inf, -math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractError, match="lattice angle must be finite"):
+                    wavelet.lattice_filter(angle)
 
 
 class TestAngleReport:
