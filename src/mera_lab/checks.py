@@ -40,11 +40,6 @@ embedded by one ``gates.embed`` call: one stack of 100 took 1.6 MB of
 traced memory, four of 25 took 0.5 MB and less time, their 100 kB arrays
 staying in cache.  Each stacked value equals, bit for bit, the value of
 its sample alone.
-
-No BLAS call of the suite is large enough for OpenBLAS to hand it to its
-thread pool: products go through ``gates.apply`` and norms through
-``gates.norms``, which keep every call on the calling thread (see the
-``gates`` module docstring).
 """
 
 from __future__ import annotations
@@ -109,7 +104,7 @@ def _swap_conjugation_defects(stack: np.ndarray) -> np.ndarray:
 
 def _load_draws() -> np.ndarray:
     """The table's values; a missing or extra value, or a non-finite one, raises NumericError."""
-    with open(_DRAWS_PATH, encoding="ascii") as table:
+    with open(_DRAWS_PATH, "rb") as table:
         draws = np.array([float(value) for value in table.read().split()])
     if draws.size != sum(_DRAW_SIZES):
         raise NumericError(f"{_DRAWS_PATH}: expected {sum(_DRAW_SIZES)} sample values, read {draws.size}")

@@ -18,12 +18,18 @@ outside 1..MAX_SWEEP_STEPS are usage errors, as is an unsupported size
 (``CROSSING_GAP``) still exits 0; it names those rows in one warning line on
 stderr.  Likewise ``ed`` exits 0 on a degenerate ground level and writes its
 degeneracy, counted over all sectors, in one warning line on stderr.
+
+Each command runs numpy's bundled OpenBLAS on one thread, then restores the
+previous count: no BLAS call of a command, the largest a 472 x 472
+``eigvalsh``, gains from a second thread, and a call handed to the thread
+pool of a fresh process can wait milliseconds for a sleeping worker.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import math
 import sys
 
@@ -268,6 +274,27 @@ def _attach_signed_floats(argv: list[str]) -> list[str]:
     return joined
 
 
+def _one_blas_thread() -> contextlib.AbstractContextManager:
+    """Set numpy's bundled OpenBLAS to one thread; the context returned restores its thread count on exit.
+
+    The library is found among the files mapped into this process, since ``ctypes.util.find_library``
+    starts subprocesses; a numpy without it, or a platform without ``/proc``, keeps OpenBLAS's own count.
+    """
+    try:
+        with open("/proc/self/maps", "rb") as maps:
+            paths = [line.split(maxsplit=5)[5].rstrip() for line in maps if b"libscipy_openblas64_" in line]
+        library = ctypes.CDLL(paths[0])
+        get, set_ = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
+    except (OSError, IndexError, AttributeError):
+        return contextlib.nullcontext()
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    restore = contextlib.ExitStack()
+    restore.callback(set_, get())
+    set_(1)
+    return restore
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -276,17 +303,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_attach_signed_floats(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return int(args.func(args))
-    except (UsageError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MeraLabError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+    with _one_blas_thread():
+        try:
+            return int(args.func(args))
+        except (UsageError, ResourceError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (MeraLabError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

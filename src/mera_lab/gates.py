@@ -24,24 +24,8 @@ embedded gate of a stack has the bits of that gate embedded alone.
 :func:`apply` is the one way to multiply a register by a placed gate: it
 forms ``embed(gate, site, n) @ matrix`` by applying the 4x4 gate, or a stack
 of them, to the row bits of (site, site+1), never forming the dense
-embedding.  It views the 2^n rows of ``matrix`` as (2^(site-1), 4, rest)
-slabs and multiplies one slab of 4 rows at a time, so no BLAS call exceeds
-4 x 4 x cols multiply-adds.  numpy's bundled OpenBLAS hands a zgemm to its
-thread pool from about 4 x 4 x 4096 multiply-adds; on a 2-core machine such
-calls waited 6-15 ms each for a worker thread in many fresh processes
-(3 of 16 in one batch, 4 of 8 in another), several times the work of the
-check suite that makes them.  With one slab per call, a register of fewer
-than about 4096 columns stays on the calling thread whatever its row count.
-
-:func:`norms` is the one way to take the Frobenius norm of each array of a
-stack, and keeps dots off the thread pool the same way: OpenBLAS hands it a
-dot over 10 000 entries, so the squares are summed in dots of at most
-``_DOT_LENGTH`` (4096) entries.  An array of at most that many entries
-takes the one pair of dots, of its real and imaginary parts, that
-``np.linalg.norm`` takes, with their bits: the circuit states of
-``mera.optimal_ratios`` and every commutator of the check suite up to a
-6-site span.  A larger array adds partial sums; in the suite those are the
-7- and 8-site spans, whose norm is exactly 0.
+embedding.  :func:`norms` is the one way to take the Frobenius norm of each
+array of a stack.
 
 For complex nu the weight matrix is deliberately returned as-is (neither
 rejected nor rescaled): downstream state constructions renormalize, and the
@@ -58,13 +42,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .heisenberg import _check_site_count
+from .heisenberg import check_site_count
 
 #: Guard radius around the pole of the weight functions at nu = -2i.
 _POLE_GUARD = 1e-12
-
-#: Entries per BLAS dot in :func:`norms` (see the module docstring).
-_DOT_LENGTH = 4096
 
 ROTATION = "rotation"
 RMATRIX = "rmatrix"
@@ -196,15 +177,14 @@ def apply(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
     ``matrix`` is [..., 2^n, cols] for any n >= 2 and cols, and ``gate`` one
     gate or a stack [..., 4, 4] whose leading axes broadcast to those of
     ``matrix``; the product has the shape and dtype of ``matrix``, which must
-    therefore hold complex values for a complex gate.  The gate
-    multiplies one slab of 4 rows by cols columns at a time, one slab per
-    value of the other row bits, so no BLAS call exceeds 4 x 4 x cols
-    multiply-adds and none is handed to OpenBLAS's thread pool for cols below
-    about 4096 (see the module docstring).  A row count that is not a power
-    of 2, a site outside 1..n-1, a gate that is not [..., 4, 4] or a stack
-    whose leading axes do not broadcast to those of ``matrix`` raises
-    :class:`ShapeError`; a product that ``matrix``'s dtype cannot hold, such
-    as a complex gate's on a real register, raises :class:`ContractError`.
+    therefore hold complex values for a complex gate.  The gate multiplies a
+    view of ``matrix`` as slabs of 4 rows, one slab per value of the other
+    row bits, so the dense 2^n x 2^n embedding is never formed.  A row count
+    that is not a power of 2, a site outside 1..n-1, a gate that is not
+    [..., 4, 4] or a stack whose leading axes do not broadcast to those of
+    ``matrix`` raises :class:`ShapeError`; a product that ``matrix``'s dtype
+    cannot hold, such as a complex gate's on a real register, raises
+    :class:`ContractError`.
     """
     if matrix.ndim < 2:
         raise ShapeError(f"expected a register [..., 2^n, cols], got shape {matrix.shape}")
@@ -228,16 +208,11 @@ def apply(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
 def norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each array of ``stack`` [k, ...], as k floats; an empty stack gives an empty array.
 
-    The squares of each array's real and imaginary parts are summed in BLAS
-    dots of at most ``_DOT_LENGTH`` entries (see the module docstring), so
-    an array of at most that many entries gets the bits of
-    ``np.linalg.norm``, and a larger one the sum of its chunks' dots.
+    Each array takes the one pair of BLAS dots that ``np.linalg.norm`` takes,
+    of its real and its imaginary parts, and gets its bits.
     """
-    size = math.prod(stack.shape[1:])
-    # Each array in one dot when it fits, else in equal chunks: the largest power of 2 up to _DOT_LENGTH dividing it.
-    chunk = math.gcd(size, _DOT_LENGTH) if size > _DOT_LENGTH else max(size, 1)
-    rows = stack.reshape(len(stack), size // chunk, chunk)
-    return np.sqrt(np.sum(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag), axis=-1))
+    rows = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
 def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -245,7 +220,7 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
 
     Returns [..., 2^n, 2^n]; each gate of a stack gets the bits of embedding it alone.
     """
-    _check_site_count(n)
+    check_site_count(n)
     gate = _placed_gate(gate, site, n)
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n - site - 1), dtype=complex)
@@ -260,7 +235,7 @@ def embed(gate: np.ndarray, site: int, n: int) -> np.ndarray:
 
 def swap_layer(n: int) -> np.ndarray:
     """Parallel swaps on pairs (1,2), (3,4), ...: kron of n/2 swap gates."""
-    _check_site_count(n)
+    check_site_count(n)
     if n % 2 != 0:
         raise ShapeError(f"swap layer needs an even site count, got {n}")
     return reduce(np.kron, [swap()] * (n // 2))

@@ -59,7 +59,8 @@ class BoundaryCondition(str, Enum):
     PERIODIC = "periodic"
 
 
-def _check_site_count(n: int) -> None:
+def check_site_count(n: int) -> None:
+    """Raise :class:`ResourceError` unless 2 <= n <= MAX_SITES, the one site limit of the package."""
     if not 2 <= n <= MAX_SITES:
         raise ResourceError(f"site count {n} outside the supported range 2..{MAX_SITES}")
 
@@ -94,13 +95,13 @@ def _build_hamiltonian(n: int, states: np.ndarray, bc: BoundaryCondition | str) 
 
 def hamiltonian(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> np.ndarray:
     """Dense 2^n x 2^n Heisenberg Hamiltonian; real symmetric."""
-    _check_site_count(n)
+    check_site_count(n)
     return _build_hamiltonian(n, np.arange(1 << n), bc)
 
 
 def sector_basis(n: int, n_down: int) -> np.ndarray:
     """All basis states with exactly ``n_down`` down spins, as an ascending int64 array."""
-    _check_site_count(n)
+    check_site_count(n)
     if not 0 <= n_down <= n:
         raise DomainError(f"down-spin count {n_down} invalid for {n} sites")
     return np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n_down)
@@ -184,7 +185,7 @@ def sector_spectra(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIO
     complex block m also stands for its conjugate block N - m, whose
     spectrum is the same.
     """
-    _check_site_count(n)
+    check_site_count(n)
     solved = []
     for n_down in range(n // 2 + 1):
         parts = []

@@ -1,5 +1,4 @@
 import inspect
-import math
 import tracemalloc
 
 import numpy as np
@@ -218,11 +217,7 @@ class TestCommutatorNorm:
         commutator -= gates.apply(gate, m - 1, gates.embed(gate, 1, m))
         norm = checks._commutator_norm(gate, m, m)
         assert norm > 0.0
-        if commutator.size <= gates._DOT_LENGTH:
-            # One pair of BLAS dots, the ones np.linalg.norm takes.
-            assert norm == float(np.linalg.norm(commutator))
-        else:
-            assert norm == pytest.approx(math.sqrt(float(np.sum(np.abs(commutator) ** 2))), rel=1e-13)
+        assert norm == float(np.linalg.norm(commutator))
 
 
 class TestDrawTable:

@@ -1,5 +1,9 @@
 import ast
+import contextlib
+import ctypes
 import hashlib
+import inspect
+import io
 import json
 import math
 import os
@@ -7,16 +11,24 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mera_lab import cli, heisenberg, mera, report
+from mera_lab import cli, gates, heisenberg, mera, report
 from mera_lab.errors import NumericError
 from mera_lab.cli import main
 from mera_lab.heisenberg import hamiltonian
+
+
+def blas_threads() -> int:
+    """The thread count of numpy's bundled OpenBLAS, read through ctypes as threadpoolctl reads it."""
+    with open("/proc/self/maps", "rb") as maps:
+        path = next(line.split(maxsplit=5)[5].rstrip() for line in maps if b"libscipy_openblas64_" in line)
+    return ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
 
 
 def payload_section(path) -> str:
@@ -653,12 +665,9 @@ class TestImports:
         runs = [["optimize"], ["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "501"], ["ed", "--sites", "12"]]
         assert self.loaded_after(runs, ("dataclasses", "scipy")) == "[]"
 
-    @pytest.mark.parametrize(
-        "argv", [["optimize"], ["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "5001"], ["ed", "--sites", "12"]]
-    )
-    def test_main_imports_no_package_or_numpy_module(self, argv):
-        # Every module a command needs is loaded by `import mera_lab.cli`, so the import's cost is not
-        # moved into the command's run time.
+    @staticmethod
+    def imported_by_main(runs: list[list[str]]) -> list[str]:
+        """The modules a fresh process imports while ``cli.main`` runs ``runs``, after ``import mera_lab.cli``."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         probe = (
@@ -666,15 +675,29 @@ class TestImports:
             "from mera_lab import cli\n"
             "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n"
-            "print(sorted(name for name in set(sys.modules) - before if name.partition('.')[0] in ('mera_lab', 'numpy')))\n"
+            + "".join(f"    assert cli.main({argv!r}) == 0\n" for argv in runs)
+            + "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.split()
+
+    @pytest.mark.parametrize(
+        "argv", [["optimize"], ["sweep", "--theta-min", "-3", "--theta-max", "3", "--steps", "5001"], ["ed", "--sites", "12"]]
+    )
+    def test_main_imports_no_package_or_numpy_module(self, argv):
+        # Every module a command needs is loaded by `import mera_lab.cli`, so the import's cost is not
+        # moved into the command's run time.
+        imported = self.imported_by_main([argv])
+        assert [name for name in imported if name.partition(".")[0] in ("mera_lab", "numpy")] == []
+
+    def test_optimize_and_check_import_no_codec(self):
+        # The check suite's sample table is read as bytes.
+        imported = self.imported_by_main([["optimize"], ["check"]])
+        assert [name for name in imported if name.partition(".")[0] == "encodings"] == []
 
 
 class TestThreadCount:
-    """The pinned bytes do not depend on how many threads OpenBLAS runs."""
+    """``cli.main`` runs OpenBLAS on one thread, and the pinned bytes do not depend on how many it runs."""
 
     @staticmethod
     def run_single_threaded(*argv: str) -> subprocess.CompletedProcess:
@@ -692,6 +715,84 @@ class TestThreadCount:
         done = self.run_single_threaded("ed", "--sites", "12")
         assert done.returncode == 0, done.stderr
         assert hashlib.sha256(done.stdout.encode()).hexdigest() == ED_STDOUT_SHA256[12, "periodic"]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs at most one thread per usable core")
+    def test_main_runs_each_command_on_one_blas_thread_and_restores_the_count(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+        probe = (
+            "import contextlib, ctypes, io\n"
+            + inspect.getsource(blas_threads)
+            + "from mera_lab import cli\n"
+            "counts = [blas_threads()]\n"
+            "def cmd_ed(args):\n"
+            "    counts.append(blas_threads())\n"
+            "    return 0\n"
+            "cli.cmd_ed = cmd_ed\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    for argv in (['ed'], ['check', '--tolerance', '1e-300'], ['bethe', '--sites', '5'], ['frobnicate']):\n"
+            "        counts += [cli.main(argv), blas_threads()]\n"
+            "print(counts)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        # After the import, inside `ed`, then (exit code, count after main) for `ed`, a failed check suite,
+        # an unsupported size and an unknown command.
+        assert done.stdout.strip() == "[2, 1, 0, 2, 1, 2, 2, 2, 2, 2]"
+
+    @pytest.mark.parametrize("found", ["no library", "a library without the thread functions"])
+    def test_main_runs_where_the_thread_functions_cannot_be_found(self, monkeypatch, capsys, found):
+        def cdll(path):
+            if found == "no library":
+                raise OSError(f"{path!r}: cannot open shared object file")
+            return object()
+
+        before = blas_threads()
+        monkeypatch.setattr(cli, "ctypes", types.SimpleNamespace(CDLL=cdll, c_int=ctypes.c_int))
+        assert main(["wavelet"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[("wavelet",)]
+        assert blas_threads() == before
+
+
+#: Float arguments at and beyond the edges of the double range.
+EDGE_FLOATS = ("nan", "inf", "-inf", "5e-324", "-5e-324", "1e308", "-1e308", "-0", "0", "1e-3", "-1e-3", "3")
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """An argv for one of the six subcommands, each of its options given or left out, with edge values and no --out."""
+    floats = st.sampled_from(EDGE_FLOATS)
+    sizes = st.sampled_from([str(n) for n in range(14)])
+    bcs = st.sampled_from([bc.value for bc in heisenberg.BoundaryCondition])
+    options = {
+        "optimize": {"--sites": sizes, "--bc": bcs, "--entangler": st.sampled_from(gates.FAMILIES), "--tolerance": floats},
+        "ed": {"--sites": sizes, "--bc": bcs},
+        "bethe": {"--sites": sizes, "--magnons": sizes},
+        "sweep": {"--theta-min": floats, "--theta-max": floats, "--steps": st.sampled_from([str(k) for k in range(-1, 6)])},
+        "wavelet": {},
+        "check": {"--tolerance": floats},
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command]
+    for flag, values in options[command].items():
+        # sweep's three options are required, so they are always given and a sweep can run.
+        if command == "sweep" or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argv())
+    def test_main_exits_0_1_or_2_with_a_reason_and_keeps_the_blas_thread_count(self, argv):
+        before = blas_threads()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert any(line.startswith(("error: ", "i/o error: ")) or line == "some checks failed" for line in lines)
+        assert blas_threads() == before
 
 
 class TestMainModule:
@@ -758,6 +859,22 @@ class TestArgvOnly:
                     uses.append(f"{path.name}:{node.lineno}: {name}")
         assert uses == []
 
+    def test_only_cli_imports_ctypes(self):
+        # The BLAS thread count is process state, set in one place: cli.main.
+        package = pathlib.Path(cli.__file__).parent
+        importers = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "ctypes" for name in names):
+                    importers.add(path.name)
+        assert importers == {"cli.py"}
+
     def test_no_module_reads_another_modules_private_names(self):
         # A rule another module needs belongs in a public function of the module that owns it.
         package = pathlib.Path(cli.__file__).parent
@@ -775,5 +892,8 @@ class TestArgvOnly:
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
                     if node.attr.startswith("_"):
                         reads.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None:
+                    names = [alias.name for alias in node.names if alias.name.startswith("_")]
+                    reads.extend(f"{path.name}:{node.lineno}: from .{node.module} import {name}" for name in names)
         assert ("checks", "mera") in imported
         assert reads == []
