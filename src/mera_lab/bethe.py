@@ -24,6 +24,12 @@ _POLE_TOL = 1e-10
 _REAL_TOL = 1e-12
 
 
+def _check_length(L: int) -> None:
+    """Raise :class:`DomainError` for a chain of fewer than two sites."""
+    if L < 2:
+        raise DomainError(f"chain length {L} too short")
+
+
 class BetheRoots(NamedTuple):
     """Rapidities of one solution plus the worst equation residual."""
 
@@ -34,9 +40,10 @@ class BetheRoots(NamedTuple):
 def bethe_residual(roots: list[complex] | tuple[complex, ...], L: int) -> list[complex]:
     """Per-root residual LHS - RHS of the Bethe system; zero iff solved.
 
-    A rapidity on a pole, or one that leaves a residual non-finite, raises
-    :class:`DomainError`.
+    A chain of fewer than two sites, a rapidity on a pole, or one that leaves
+    a residual non-finite, raises :class:`DomainError`.
     """
+    _check_length(L)
     roots = [complex(r) for r in roots]
     for lam in roots:
         if abs(lam - 1j) < _POLE_TOL or abs(lam + 1j) < _POLE_TOL:
@@ -98,10 +105,9 @@ def one_magnon_roots(L: int) -> list[float]:
     """Finite rapidities of the single-magnon states: cot(pi m / L), m = 1..L-1.
 
     The momentum-zero state corresponds to an infinite rapidity and is left
-    out of the table.
+    out of the table.  A chain of fewer than two sites raises :class:`DomainError`.
     """
-    if L < 2:
-        raise DomainError(f"chain length {L} too short")
+    _check_length(L)
     return [float(1.0 / np.tan(np.pi * m / L)) for m in range(1, L)]
 
 
@@ -133,9 +139,10 @@ def momenta_from_roots(roots: list[complex] | tuple[complex, ...]) -> list[float
 def energy_from_roots(roots: list[complex] | tuple[complex, ...], L: int) -> float:
     """Chain energy L/4 - sum_j 2/(lambda_j^2 + 1) for real roots.
 
-    A complex or non-finite rapidity, or one whose square overflows, raises
-    :class:`DomainError`.
+    A chain of fewer than two sites, a complex or non-finite rapidity, or one
+    whose square overflows, raises :class:`DomainError`.
     """
+    _check_length(L)
     total = L / 4.0
     for lam in roots:
         lam = _real_rapidity(lam)

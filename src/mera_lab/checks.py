@@ -103,9 +103,12 @@ def _swap_conjugation_defects(stack: np.ndarray) -> np.ndarray:
 
 
 def _load_draws() -> np.ndarray:
-    """The table's values; a missing or extra value, or a non-finite one, raises NumericError."""
+    """The table's values; a missing, extra, non-numeric or non-finite value raises NumericError."""
     with open(_DRAWS_PATH, "rb") as table:
-        draws = np.array([float(value) for value in table.read().split()])
+        try:
+            draws = np.array([float(value) for value in table.read().split()])
+        except ValueError as exc:
+            raise NumericError(f"{_DRAWS_PATH}: {exc}") from None
     if draws.size != sum(_DRAW_SIZES):
         raise NumericError(f"{_DRAWS_PATH}: expected {sum(_DRAW_SIZES)} sample values, read {draws.size}")
     if not np.all(np.isfinite(draws)):
@@ -158,8 +161,7 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
     detected("rmatrix_nonunitary_at_fit_roots", float(np.min(defects)), 1e-6)
 
     analytic = mera.solve_theta_analytic()
-    numeric = mera.solve_theta_numeric()
-    asserted("numeric_vs_analytic_theta", abs(numeric.theta - analytic.theta), 1e-8)
+    asserted("numeric_vs_analytic_theta", abs(mera.solve_theta_numeric() - analytic.theta), 1e-8)
 
     h4, energy_exact, ground = four_site_ring()
     asserted("variational_energy_matches_exact", abs(analytic.energy - energy_exact), 1e-10)

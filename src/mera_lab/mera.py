@@ -29,10 +29,11 @@ eigenproblem.  For a gate that conserves Sz its overlap matrix is diagonal:
 the u state lives where s1 != s4 and the q state where s1 = s4.
 :func:`optimal_ratios` solves these pencils for a whole stack of gates at
 once (:func:`_pencil_eigh`), each with the same bits as a solve of that gate
-alone; :func:`optimal_ratio` is the stack of one.  The CLI sweep passes its
-angle grid through it in blocks, and the numeric angle search brackets its
-minimum from a coarse pass over its grid and a fine pass around the coarse
-minimum, two calls of 32 and at most 65 angles; the package imports no scipy.
+alone; it is the one ratio solver, and one gate is a stack of one.  The CLI
+sweep passes its angle grid through it in blocks, and the numeric angle
+search takes every energy from it: a coarse and a fine pass over its grid
+(32 and at most 65 angles), each Brent step and a parabola's three points;
+the package imports no scipy.
 
 Batching keeps every bit of the one-gate, one-state steps because the same
 numpy primitive carries them: ``np.einsum`` forms the gate products of both
@@ -299,16 +300,6 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
     return values[:, 0], ratios.real, states / gates.norms(states)[:, None], values[:, 1] - values[:, 0]
 
 
-def optimal_ratio(gate: np.ndarray, h: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """:func:`optimal_ratios` for one gate: (energy, r, normalized state).
-
-    A gate that is not 4x4 raises :class:`ShapeError`.
-    """
-    _check_gates(gate, 2)
-    energies, ratios, states, _ = optimal_ratios(gate[None], h)
-    return float(energies[0]), float(ratios[0]), states[0]
-
-
 @functools.cache
 def solve_theta_analytic() -> ThetaSolution:
     """Closed-form entangler angle matching the exact amplitude ratios, computed once per process.
@@ -331,29 +322,26 @@ def solve_theta_analytic() -> ThetaSolution:
 
 
 @functools.cache
-def solve_theta_numeric() -> ThetaSolution:
-    """Derivative-free cross-check of the closed-form optimum, computed once per process.
+def solve_theta_numeric() -> float:
+    """Derivative-free cross-check of the closed-form optimal angle, computed once per process.
 
-    Minimizes the energy of the mirrored family over the principal period
-    theta in (-pi/4, pi/4), with the ratio r eliminated per angle through the
-    closed-form 2x2 eigenproblem: coarse grid bracketing, bounded scalar
-    minimization to 1e-12 in theta, then a parabolic vertex fit to average
-    out the flat floating-point floor around the minimum.  The bracket is
-    centred on the minimum of the 999 grid angles with |theta| < pi/4, found
-    from 97 of them in two :func:`optimal_ratios` calls: every 32nd angle,
-    then the angles within one stride of the coarse minimum.  The energy
-    falls strictly, then rises strictly, on the grid, so this is the minimum
-    of all 999.  The bounded step is an in-package Brent minimizer that
-    follows scipy's ``minimize_scalar(method="bounded")`` step for step, one
-    angle at a time; the parabola's three points are solved in one call.
-    The energy has period pi/2: the gate at theta + pi/2 is the gate at
-    theta after a signed swap, which maps the flip-symmetric IR family onto
-    itself (u -> -u).
+    Returns only the angle, a float.  Minimizes the energy of the mirrored
+    family over the principal period theta in (-pi/4, pi/4), with the ratio r
+    eliminated per angle through the closed-form 2x2 eigenproblem: coarse grid
+    bracketing, bounded scalar minimization to 1e-12 in theta, then a parabolic
+    vertex fit to average out the flat floating-point floor around the minimum.
+    One closure takes every energy, one :func:`optimal_ratios` call per stack
+    of angles.  The bracket is centred on the minimum of the 999 grid angles
+    with |theta| < pi/4, found from 97 of them in two stacks: every 32nd angle,
+    then the angles within one stride of the coarse minimum.  The energy falls
+    strictly, then rises strictly, on the grid, so this is the minimum of all
+    999.  The bounded step is an in-package Brent minimizer that follows
+    scipy's ``minimize_scalar(method="bounded")`` step for step on stacks of
+    one angle; the parabola's three points are one stack.  The energy has
+    period pi/2: the gate at theta + pi/2 is the gate at theta after a signed
+    swap, which maps the flip-symmetric IR family onto itself (u -> -u).
     """
-    h, _, ground = four_site_ring()
-
-    def energy_at(theta: float) -> float:
-        return optimal_ratio(gates.entangler_rotation(theta), h)[0]
+    h = four_site_ring()[0]
 
     def energies(thetas: np.ndarray) -> np.ndarray:
         return optimal_ratios(gates.entangler_rotations(thetas), h)[0]
@@ -368,16 +356,14 @@ def solve_theta_numeric() -> ThetaSolution:
     centre = int(coarse[np.argmin(energies(grid[coarse]))])
     lo, hi = max(centre - _GRID_STRIDE, 501), min(centre + _GRID_STRIDE, 1499)
     k = lo + int(np.argmin(energies(grid[lo : hi + 1])))
-    theta = float(_minimize_bounded(energy_at, grid[k - 1], grid[k + 1], xatol=1e-12))
+    theta = float(_minimize_bounded(lambda t: energies([t])[0], grid[k - 1], grid[k + 1], xatol=1e-12))
 
     step = 1e-5
     e_minus, e_zero, e_plus = map(float, energies([theta - step, theta, theta + step]))
     curvature = e_minus - 2.0 * e_zero + e_plus
     if curvature > 0.0:
         theta += 0.5 * step * (e_minus - e_plus) / curvature
-
-    energy, r, state = optimal_ratio(gates.entangler_rotation(theta), h)
-    return ThetaSolution(theta=theta, r=r, energy=energy, fidelity=fidelity(state, ground))
+    return theta
 
 
 def _minimize_bounded(func, a: float, b: float, xatol: float, maxfun: int = 500) -> float:

@@ -56,7 +56,7 @@ def build_report(entangler: str = gates.ROTATION, tolerance: float | None = None
     fit = mera.solve_nu_fit()
 
     gate = gates.entangler_rotation(analytic.theta) if entangler == gates.ROTATION else gates.rmatrix(fit.roots[0])
-    energy_mera, ratio, state = mera.optimal_ratio(gate, h4)
+    energies, ratios, states, _ = mera.optimal_ratios(gate[None], h4)
 
     taps = wavelet.d4_coefficients().taps
     angles = wavelet.angle_report(analytic.theta, roots.roots[0].real)
@@ -69,10 +69,10 @@ def build_report(entangler: str = gates.ROTATION, tolerance: float | None = None
         entangler=entangler,
         theta_star=analytic.theta,
         theta_star_over_pi=analytic.theta / math.pi,
-        r=ratio,
+        r=float(ratios[0]),
         ground_energy_ed=energy_ed,
-        ground_energy_mera=energy_mera,
-        fidelity=mera.fidelity(state, ground),
+        ground_energy_mera=float(energies[0]),
+        fidelity=mera.fidelity(states[0], ground),
         ed_coefficients=coefficients,
         entropy_cut2=mera.entanglement_entropy(ground, 2),
         bethe_roots=list(roots.roots),

@@ -132,6 +132,14 @@ class TestOneMagnonTable:
         with pytest.raises(DomainError, match="too short"):
             bethe.one_magnon_roots(L)
 
+    @pytest.mark.parametrize("L", [1, 0, -3])
+    def test_residual_and_energy_refuse_the_same_lengths(self, L):
+        # One guard for the whole module: without it a 0-site residual read [0j] ("solved").
+        with pytest.raises(DomainError, match="too short"):
+            bethe.bethe_residual([0.5], L)
+        with pytest.raises(DomainError, match="too short"):
+            bethe.energy_from_roots([0.5], L)
+
     def test_energies_appear_in_sector_spectrum(self):
         from mera_lab.heisenberg import sector_hamiltonian
 

@@ -1,4 +1,5 @@
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestDrawTable:
         with open(checks._DRAWS_PATH, encoding="ascii") as table:
             assert table.read() == table_text(map(repr, draws.tolist()))
 
-    @pytest.mark.parametrize("edit", ["missing", "extra", "nan", "inf"])
+    @pytest.mark.parametrize("edit", ["missing", "extra", "nan", "inf", "abc"])
     def test_a_damaged_table_raises(self, tmp_path, monkeypatch, edit):
         lines = [repr(v) for v in seeded_draws().tolist()]
         if edit == "missing":
@@ -240,7 +241,8 @@ class TestDrawTable:
         table = tmp_path / "check_draws.txt"
         table.write_text(table_text(lines))
         monkeypatch.setattr(checks, "_DRAWS_PATH", str(table))
-        with pytest.raises(NumericError):
+        # Every damage is named with the table it was found in.
+        with pytest.raises(NumericError, match="^" + re.escape(f"{table}: ")):
             checks.run_checks()
 
     def test_a_short_table_exits_one(self, tmp_path, monkeypatch, capsys):

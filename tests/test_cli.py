@@ -897,3 +897,37 @@ class TestArgvOnly:
                     reads.extend(f"{path.name}:{node.lineno}: from .{node.module} import {name}" for name in names)
         assert ("checks", "mera") in imported
         assert reads == []
+
+    def test_every_public_function_and_class_has_a_reader_in_the_package(self):
+        # A public function or class that nothing in the package uses is deleted. The two exceptions
+        # are kept for tests/test_acceptance.py, which checks the package against them.
+        package = pathlib.Path(cli.__file__).parent
+        defined, used = set(), set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            modules = {
+                alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                for alias in node.names
+            }
+            for statement in tree.body:
+                own = None
+                if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                    own = (path.stem, statement.name)
+                    if not statement.name.startswith("_"):
+                        defined.add(own)
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Name):
+                        reference = (path.stem, node.id)
+                    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                        reference = (modules[node.value.id], node.attr)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None:
+                        used.update((node.module, alias.name) for alias in node.names)
+                        continue
+                    else:
+                        continue
+                    if reference != own:
+                        used.add(reference)
+        assert ("mera", "optimal_ratios") in defined & used
+        assert defined - used == {("heisenberg", "ground_state"), ("wavelet", "lattice_filter")}

@@ -354,10 +354,6 @@ class TestGateShape:
         with pytest.raises(ShapeError, match=self.MESSAGE):
             mera.variational_state(self.BAD, 2.0)
 
-    def test_optimal_ratio(self, h4):
-        with pytest.raises(ShapeError, match=self.MESSAGE):
-            mera.optimal_ratio(self.BAD, h4)
-
     @pytest.mark.parametrize("stack", [BAD[None], np.eye(4, dtype=complex), np.zeros((2, 4, 3), dtype=complex)])
     def test_optimal_ratios(self, h4, stack):
         with pytest.raises(ShapeError, match="4, 4"):
@@ -386,11 +382,11 @@ class TestOptimalRatio:
         rng = np.random.default_rng(40)
         for theta in rng.uniform(-np.pi, np.pi, size=50):
             gate = gates.entangler_rotation(theta)
-            energy, r, state = mera.optimal_ratio(gate, h4)
+            energies, ratios, states, _ = mera.optimal_ratios(gate[None], h4)
             ref_energy, ref_r, ref_state = reference_optimal_ratio(gate, h4)
-            assert energy == ref_energy
-            assert r == ref_r
-            assert np.array_equal(state, ref_state)
+            assert energies[0] == ref_energy
+            assert ratios[0] == ref_r
+            assert np.array_equal(states[0], ref_state)
 
     @settings(deadline=None, max_examples=60)
     @given(thetas=st.lists(ANGLES, min_size=1, max_size=12))
@@ -416,7 +412,7 @@ class TestOptimalRatio:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="the 2x2 pencil has non-finite entries"):
-                mera.optimal_ratio(np.eye(4, dtype=complex) * 1e200, h4)
+                mera.optimal_ratios(np.eye(4, dtype=complex)[None] * 1e200, h4)
 
     @pytest.mark.parametrize("gate", [np.diag(np.full(4, np.inf)), OVERFLOWING_GATES[1]], ids=["diagonal", "full"])
     def test_non_finite_gate_is_refused_before_the_family_is_formed(self, h4, monkeypatch, gate):
@@ -427,7 +423,7 @@ class TestOptimalRatio:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="the gate has non-finite entries"):
-                mera.optimal_ratio(gate, h4)
+                mera.optimal_ratios(gate[None], h4)
 
     def test_empty_stack_gives_empty_arrays(self, h4):
         energies, ratios, states, gaps = mera.optimal_ratios(np.zeros((0, 4, 4), dtype=complex), h4)
@@ -438,7 +434,7 @@ class TestOptimalRatio:
         # A zero gate makes the overlap matrix vanish; a NaN gate makes the pencil non-finite.
         for gate in (np.zeros((4, 4), dtype=complex), np.full((4, 4), np.nan, dtype=complex)):
             with pytest.raises(NumericError):
-                mera.optimal_ratio(gate, h4)
+                mera.optimal_ratios(gate[None], h4)
 
     def test_gate_that_changes_sz_raises_contract_error(self, h4):
         # Any nonzero entry between two-site states of different Sz would make
@@ -447,7 +443,7 @@ class TestOptimalRatio:
             gate = gates.entangler_rotation(0.3)
             gate[row, col] = 1e-300
             with pytest.raises(ContractError, match="conserves Sz"):
-                mera.optimal_ratio(gate, h4)
+                mera.optimal_ratios(gate[None], h4)
             with pytest.raises(ContractError):
                 mera.optimal_ratios(np.array([gates.entangler_rotation(0.1), gate]), h4)
 
@@ -462,7 +458,7 @@ class TestOptimalRatio:
 
     def test_energy_has_period_half_pi(self, h4):
         grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
-        energy = [mera.optimal_ratio(gates.entangler_rotation(t), h4)[0] for t in grid]
+        energy = [mera.optimal_ratios(gates.entangler_rotation(t)[None], h4)[0][0] for t in grid]
         assert max(abs(energy[i] - energy[i + 1000]) for i in range(1001)) < 1e-14
 
 
@@ -583,16 +579,17 @@ class TestThetaSolvers:
         assert abs(sol.energy - (-2.0)) < 1e-10
         assert sol.fidelity >= 1.0 - 1e-10
 
-    def test_numeric_agrees_with_analytic(self):
+    def test_numeric_agrees_with_analytic(self, h4, exact_ground):
         analytic = mera.solve_theta_analytic()
-        numeric = mera.solve_theta_numeric()
-        assert abs(numeric.theta - analytic.theta) < 1e-8
-        assert abs(numeric.energy - (-2.0)) < 1e-10
-        assert numeric.fidelity >= 1.0 - 1e-10
-        assert abs(numeric.r - np.sqrt(5.0)) < 1e-6
+        theta = mera.solve_theta_numeric()
+        energies, ratios, states, _ = mera.optimal_ratios(gates.entangler_rotation(theta)[None], h4)
+        assert abs(theta - analytic.theta) < 1e-8
+        assert abs(energies[0] - (-2.0)) < 1e-10
+        assert mera.fidelity(states[0], exact_ground[1]) >= 1.0 - 1e-10
+        assert abs(ratios[0] - np.sqrt(5.0)) < 1e-6
 
     def test_numeric_optimum_in_principal_period(self):
-        assert -np.pi / 4 < mera.solve_theta_numeric().theta < np.pi / 4
+        assert -np.pi / 4 < mera.solve_theta_numeric() < np.pi / 4
 
     def test_numeric_search_call_budget(self, monkeypatch):
         # Every solve, single or stacked, goes through optimal_ratios: count its calls and gates.
@@ -615,7 +612,7 @@ class TestThetaSolvers:
 
     def test_numeric_search_call_shapes(self, monkeypatch):
         # The coarse grid, the window around its minimum, Brent one angle at a time, the parabola's three
-        # points, the final solve.
+        # points, and no call after them.
         cached = mera.solve_theta_numeric()
         sizes = []
         original = mera.optimal_ratios
@@ -626,12 +623,12 @@ class TestThetaSolvers:
 
         monkeypatch.setattr(mera, "optimal_ratios", recording)
         mera.solve_theta_numeric.cache_clear()
-        solution = mera.solve_theta_numeric()
-        assert solution == cached
-        assert all(type(value) is float for value in (solution.theta, solution.r, solution.energy, solution.fidelity))
+        theta = mera.solve_theta_numeric()
+        assert theta == cached
+        assert type(theta) is float
         assert sizes[:2] == [32, 65]
-        assert sizes[-2:] == [3, 1]
-        assert len(sizes) > 4 and set(sizes[2:-2]) == {1}
+        assert sizes[-1] == 3
+        assert len(sizes) > 3 and set(sizes[2:-1]) == {1}
 
     def test_grid_energies_are_unimodal_and_bracketed_at_their_argmin(self, h4, monkeypatch):
         # The two-level bracket relies on the energy falling strictly, then rising strictly, on the grid
@@ -692,7 +689,7 @@ class TestMinimizeBounded:
         def energy_at(theta):
             key = float(theta)
             if key not in energies:
-                energies[key] = mera.optimal_ratio(gates.entangler_rotation(key), h4)[0]
+                energies[key] = mera.optimal_ratios(gates.entangler_rotation(key)[None], h4)[0][0]
             return energies[key]
 
         grid = np.linspace(-np.pi / 2, np.pi / 2, 2001)
