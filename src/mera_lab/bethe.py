@@ -18,14 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_integer
 
 _POLE_TOL = 1e-10
 _REAL_TOL = 1e-12
 
 
 def _check_length(L: int) -> None:
-    """Raise :class:`DomainError` for a chain of fewer than two sites."""
+    """Raise :class:`DomainError` for a chain length that is not an integer, or one of fewer than two sites."""
+    check_integer(L, "chain length")
     if L < 2:
         raise DomainError(f"chain length {L} too short")
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Every error raised by the public API derives from MeraLabError so callers
 (and the CLI exit-code mapping) can distinguish our failures from bugs.
 """
+
+import operator
 
 
 class MeraLabError(Exception):
@@ -27,3 +29,11 @@ class NumericError(MeraLabError, RuntimeError):
 
 class ResourceError(MeraLabError, ValueError):
     """Requested problem size exceeds the supported desk-scale limits."""
+
+
+def check_integer(value: object, what: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a Python or numpy integer (``operator.index`` accepts it)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, DomainError, ShapeError, check_integer
 from .heisenberg import check_site_count
 
 #: Guard radius around the pole of the weight functions at nu = -2i.
@@ -162,10 +162,11 @@ def rmatrices(nus) -> np.ndarray:
 
 
 def _placed_gate(gate, site: int, n: int) -> np.ndarray:
-    """``gate`` as an array, checked to be [..., 4, 4] and ``site`` to name a pair (site, site+1) of n sites."""
+    """``gate`` as an array, checked to be [..., 4, 4], and ``site`` an integer naming a pair (site, site+1) of n sites."""
     gate = np.asarray(gate)
     if gate.shape[-2:] != (4, 4):
         raise ShapeError(f"expected a 4x4 two-site gate or a stack [..., 4, 4] of them, got {gate.shape}")
+    check_integer(site, "site")
     if not 1 <= site <= n - 1:
         raise ShapeError(f"site {site} out of range for {n} sites")
     return gate
@@ -184,7 +185,7 @@ def apply(gate: np.ndarray, site: int, matrix: np.ndarray) -> np.ndarray:
     [..., 4, 4] or a stack whose leading axes do not broadcast to those of
     ``matrix`` raises :class:`ShapeError`; a product that ``matrix``'s dtype
     cannot hold, such as a complex gate's on a real register, raises
-    :class:`ContractError`.
+    :class:`ContractError`; a site that is not an integer, :class:`DomainError`.
     """
     if matrix.ndim < 2:
         raise ShapeError(f"expected a register [..., 2^n, cols], got shape {matrix.shape}")

@@ -10,10 +10,11 @@ One term emitter, ``_hamiltonian_terms``, lists the nonzeros of H on the
 columns of an ascending list of states as flat arrays, read from one table
 of bonds x states: the diagonal, and one (source, image) pair per bond and
 anti-aligned state, the image being the state with the bond's two spins
-exchanged. Dense blocks scatter the pairs back into the list with one
-``np.add.at``: ``hamiltonian`` on all 2^n states, ``sector_hamiltonian`` on
-one fixed-magnetization sector (at most C(12, 6) = 924 states). The ``ed``
-command works one Sz sector at a time and never forms the 2^n matrix;
+exchanged. One scatter, ``_scatter``, adds a list of (row, column, value)
+terms to a dense diagonal with the package's one ``np.add.at``: ``hamiltonian``
+on all 2^n states, ``sector_hamiltonian`` on one fixed-magnetization sector
+(at most C(12, 6) = 924 states), and each symmetry block at its own size.
+The ``ed`` command works one Sz sector at a time and never forms the 2^n matrix;
 ``ground_state`` stays dense because its callers need the full state vector,
 and it refuses a degenerate ground state, whose vector would be arbitrary.
 The periodic four-site ring, which every circuit path uses, is built and
@@ -32,8 +33,10 @@ reflection-even (m = 0) and reflection-odd (m = 1) states on an open chain.
 ``_orbits`` is the one place that knows g and its order N: one table of
 g^r of a sector's states gives each state's orbit. ``symmetry_blocks`` runs
 the emitter on the orbits' representatives only and reads each image's orbit
-from that table, so no dense sector block is formed. Blocks m and N - m are
-complex conjugates, so only m = 0..N/2 is solved. On the ring the total
+from that table, so no dense sector block is formed, and scatters each block
+m once from the terms between the states it keeps, so no block is larger
+than its states. Blocks m and N - m are complex conjugates, so only
+m = 0..N/2 is solved. On the ring the total
 momentum is the sum of the Bethe momenta. At 12 sites the largest block
 solved is 80 x 80 on the ring (m = 0 and m = 6 at half filling) and
 472 x 472 on an open chain (the reflection-even half-filling block).
@@ -46,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError
+from .errors import DomainError, NumericError, ResourceError, check_integer
 
 MAX_SITES = 12
 
@@ -58,9 +61,14 @@ class BoundaryCondition(str, Enum):
     OPEN = "open"
     PERIODIC = "periodic"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise DomainError(f"boundary {value!r} is neither 'open' nor 'periodic'")
+
 
 def check_site_count(n: int) -> None:
-    """Raise :class:`ResourceError` unless 2 <= n <= MAX_SITES, the one site limit of the package."""
+    """Raise :class:`DomainError` unless n is an integer, :class:`ResourceError` unless 2 <= n <= MAX_SITES, the one limit."""
+    check_integer(n, "site count")
     if not 2 <= n <= MAX_SITES:
         raise ResourceError(f"site count {n} outside the supported range 2..{MAX_SITES}")
 
@@ -85,12 +93,17 @@ def _hamiltonian_terms(
     return diagonal, sources, states[sources] ^ masks[bonds]
 
 
+def _scatter(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray | float) -> np.ndarray:
+    """``np.diag(diagonal)`` in the result type of both operands, plus ``values`` added at (rows, cols) in order."""
+    h = np.diag(diagonal).astype(np.result_type(diagonal, values), copy=False)
+    np.add.at(h, (rows, cols), values)
+    return h
+
+
 def _build_hamiltonian(n: int, states: np.ndarray, bc: BoundaryCondition | str) -> np.ndarray:
     """H on the span of ``states``, which must be ascending and closed under exchange."""
     diagonal, sources, images = _hamiltonian_terms(n, states, bc)
-    h = np.diag(diagonal)
-    np.add.at(h, (np.searchsorted(states, images), sources), 0.5)
-    return h
+    return _scatter(diagonal, np.searchsorted(states, images), sources, 0.5)
 
 
 def hamiltonian(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC) -> np.ndarray:
@@ -102,6 +115,7 @@ def hamiltonian(n: int, bc: BoundaryCondition | str = BoundaryCondition.PERIODIC
 def sector_basis(n: int, n_down: int) -> np.ndarray:
     """All basis states with exactly ``n_down`` down spins, as an ascending int64 array."""
     check_site_count(n)
+    check_integer(n_down, "down-spin count")
     if not 0 <= n_down <= n:
         raise DomainError(f"down-spin count {n_down} invalid for {n} sites")
     return np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == n_down)
@@ -151,7 +165,8 @@ def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np
     returned. Every phase is read from one table of the N-th roots of unity;
     when 2m = 0 (mod N) each is +/-1, whose table entries have real parts
     exactly +/-1.0, and the block is assembled real from those; every other
-    block is complex.
+    block is complex. Each block is scattered once, at its own size, from the
+    terms whose source and target it keeps, with the phases of those terms only.
     """
     states = sector_basis(n, n_down)
     order, representative, shift, period = _orbits(n, states, bc)
@@ -166,13 +181,13 @@ def symmetry_blocks(n: int, n_down: int, bc: BoundaryCondition | str) -> list[np
     roots = np.exp(-2j * np.pi * np.arange(order) / order)
     blocks = []
     for m in range(order // 2 + 1):
-        phases = roots[m * shifts % order]
+        kept = m * periods % order == 0
+        position = np.cumsum(kept) - 1
+        terms = kept[sources] & kept[targets]
+        phases = roots[m * shifts[terms] % order]
         if 2 * m % order == 0:
             phases = phases.real
-        h_m = np.diag(diagonal).astype(phases.dtype, copy=False)
-        np.add.at(h_m, (targets, sources), weights * phases)
-        kept = np.flatnonzero(m * periods % order == 0)
-        blocks.append(h_m[np.ix_(kept, kept)])
+        blocks.append(_scatter(diagonal[kept], position[targets[terms]], position[sources[terms]], weights[terms] * phases))
     return blocks
 
 
@@ -220,7 +235,14 @@ def ground_state(
 
 
 def ground_degeneracy(levels: np.ndarray) -> int:
-    """How many of ``levels`` lie within _DEGENERACY_TOLERANCE * max(1, |E0|) of their minimum E0."""
+    """How many of ``levels`` lie within _DEGENERACY_TOLERANCE * max(1, |E0|) of their minimum E0.
+
+    No levels raise :class:`DomainError`; a non-finite level raises :class:`NumericError`.
+    """
+    if not np.size(levels):
+        raise DomainError("the ground degeneracy of no levels is undefined")
+    if not np.isfinite(levels).all():
+        raise NumericError("a non-finite level leaves the ground degeneracy undefined")
     e0 = float(np.min(levels))
     return int(np.count_nonzero(levels <= e0 + _DEGENERACY_TOLERANCE * max(1.0, abs(e0))))
 

@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gates
-from .errors import ContractError, DomainError, NumericError, ShapeError
+from .errors import ContractError, DomainError, NumericError, ShapeError, check_integer
 from .heisenberg import four_site_ring
 
 #: Norm below which a constructed state counts as degenerate.
@@ -522,7 +522,8 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
     before the SVD.  After it, so does a state whose squared norm overflows
     or falls below ``np.finfo(float).tiny`` (a zero state included), and one
     with a kept squared singular value below it, whose weight would lose its
-    precision.  An empty stack gives an empty array.
+    precision.  An empty stack gives an empty array.  A ``cut`` that is not
+    an integer raises :class:`DomainError`.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2:
@@ -530,6 +531,7 @@ def entanglement_entropies(states: np.ndarray, cut: int) -> np.ndarray:
     n = states.shape[1].bit_length() - 1
     if 2 ** n != states.shape[1]:
         raise ShapeError(f"state length {states.shape[1]} is not a power of two")
+    check_integer(cut, "cut")
     if not 1 <= cut < n:
         raise ShapeError(f"cut {cut} invalid for {n} sites")
     if not np.isfinite(states).all():

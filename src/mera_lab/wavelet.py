@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DomainError
 
 _QUARTER_PI = np.pi / 4.0
 
@@ -96,8 +96,11 @@ def angle_report(theta_star: float, bethe_root: float) -> AngleReport:
 
     ``bethe_root`` is the positive rapidity of the symmetric two-magnon
     pair; its characteristic angle is phi = arctan(root).  All entries are
-    raw numbers; no closeness is asserted anywhere.
+    raw numbers; no closeness is asserted anywhere.  A non-finite angle or
+    root raises :class:`DomainError` before any arithmetic.
     """
+    if not (math.isfinite(theta_star) and math.isfinite(bethe_root)):
+        raise DomainError(f"angle report needs a finite angle and root, got {theta_star!r} and {bethe_root!r}")
     phi = float(np.arctan(bethe_root))
     minus_pi_12 = float(-np.pi / 12.0)
     two_theta = float(2.0 * abs(theta_star))

@@ -140,6 +140,13 @@ class TestOneMagnonTable:
         with pytest.raises(DomainError, match="too short"):
             bethe.energy_from_roots([0.5], L)
 
+    def test_chain_length_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="chain length must be an integer"):
+            bethe.one_magnon_roots(2.5)
+        with pytest.raises(DomainError, match="chain length must be an integer"):
+            bethe.bethe_residual([0.5], 4.5)
+        assert bethe.one_magnon_roots(np.int64(4)) == bethe.one_magnon_roots(4)
+
     def test_energies_appear_in_sector_spectrum(self):
         from mera_lab.heisenberg import sector_hamiltonian
 

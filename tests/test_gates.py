@@ -263,6 +263,13 @@ class TestEmbed:
         with pytest.raises(ShapeError):
             gates.embed(I4, 0, 4)
 
+    def test_sizes_must_be_integers(self):
+        with pytest.raises(DomainError, match="site count must be an integer"):
+            gates.embed(I4, 1, 4.0)
+        with pytest.raises(DomainError, match="site must be an integer"):
+            gates.embed(I4, 1.5, 4)
+        assert np.array_equal(gates.embed(I4, np.int64(1), np.int64(3)), gates.embed(I4, 1, 3))
+
     def test_wrong_gate_shape(self):
         with pytest.raises(ShapeError):
             gates.embed(np.eye(8), 1, 4)
@@ -366,6 +373,10 @@ class TestApply:
     def test_site_out_of_range(self, site):
         with pytest.raises(ShapeError, match="out of range"):
             gates.apply(I4, site, np.eye(16, dtype=complex))
+
+    def test_site_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="site must be an integer"):
+            gates.apply(I4, 1.5, np.eye(16, dtype=complex))
 
     @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (16,), (3, 4, 8)])
     def test_wrong_gate_shape(self, shape):

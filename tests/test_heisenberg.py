@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -51,6 +53,20 @@ class TestHamiltonian:
 
     def test_accepts_string_boundary(self):
         assert np.array_equal(hb.hamiltonian(3, "open"), hb.hamiltonian(3, OPEN))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda bc: hb.hamiltonian(4, bc), lambda bc: hb.sector_spectra(4, bc), lambda bc: hb.symmetry_blocks(4, 2, bc)],
+        ids=["hamiltonian", "sector_spectra", "symmetry_blocks"],
+    )
+    def test_unknown_boundary_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="'foo' is neither 'open' nor 'periodic'"):
+            call("foo")
+
+    def test_site_count_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="site count must be an integer"):
+            hb.hamiltonian(4.0, OPEN)
+        assert np.array_equal(hb.hamiltonian(np.int64(3), OPEN), hb.hamiltonian(3, OPEN))
 
     def test_real_symmetric_exactly(self):
         for n, bc in ((3, OPEN), (5, PERIODIC)):
@@ -117,6 +133,13 @@ class TestSectorBasis:
         with pytest.raises(DomainError):
             hb.sector_basis(3, 4)
 
+    def test_counts_must_be_integers(self):
+        with pytest.raises(DomainError, match="down-spin count must be an integer"):
+            hb.sector_basis(4, 2.5)
+        with pytest.raises(DomainError, match="site count must be an integer"):
+            hb.sector_basis(4.0, 2)
+        assert np.array_equal(hb.sector_basis(np.int64(4), np.int32(2)), SECTOR_INDICES)
+
     def test_site_count_bounds(self):
         with pytest.raises(ResourceError):
             hb.sector_basis(1, 0)
@@ -174,6 +197,15 @@ class TestGroundDegeneracy:
 
     def test_single_level(self):
         assert hb.ground_degeneracy(np.array([3.0])) == 1
+
+    def test_no_levels_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no levels"):
+            hb.ground_degeneracy(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_is_a_numeric_error(self, bad):
+        with pytest.raises(NumericError, match="non-finite level"):
+            hb.ground_degeneracy(np.array([bad, 1.0]))
 
 
 class TestFourSiteRing:
@@ -306,6 +338,34 @@ def sector_blocks(n: int, bc: hb.BoundaryCondition):
         yield hb.sector_hamiltonian(n, n_down, bc), hb.symmetry_blocks(n, n_down, bc)
 
 
+def scatter_then_gather_blocks(n: int, n_down: int, bc: hb.BoundaryCondition) -> list[np.ndarray]:
+    """The symmetry blocks assembled the older way, as a bit reference.
+
+    Every term of the sector is scattered into one representatives x
+    representatives block per m, whose kept rows and columns are then copied
+    out with ``np.ix_``.
+    """
+    states = hb.sector_basis(n, n_down)
+    order, representative, shift, period = hb._orbits(n, states, bc)
+    is_representative = representative == states
+    representatives, periods = states[is_representative], period[is_representative]
+    diagonal, sources, images = hb._hamiltonian_terms(n, representatives, bc)
+    at = np.searchsorted(states, images)
+    targets = np.searchsorted(representatives, representative[at])
+    weights = 0.5 * np.sqrt(periods[sources] / periods[targets])
+    roots = np.exp(-2j * np.pi * np.arange(order) / order)
+    blocks = []
+    for m in range(order // 2 + 1):
+        phases = roots[m * shift[at] % order]
+        if 2 * m % order == 0:
+            phases = phases.real
+        h_m = np.diag(diagonal).astype(phases.dtype, copy=False)
+        np.add.at(h_m, (targets, sources), weights * phases)
+        kept = np.flatnonzero(m * periods % order == 0)
+        blocks.append(h_m[np.ix_(kept, kept)])
+    return blocks
+
+
 def shifted(word: str, r: int) -> str:
     # Shifting every site by one moves the last site to the front.
     return word[len(word) - r :] + word[: len(word) - r]
@@ -388,6 +448,28 @@ class TestMomentumBlocks:
         assert len(calls) == n + 1
 
     @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
+    def test_blocks_equal_the_scatter_then_gather_reference_bit_for_bit(self, n, bc):
+        # Each block is scattered at its own size from its own terms; every kept entry gets
+        # the additions it got in the full representatives block, in the same order.
+        for n_down in range(n + 1):
+            blocks = hb.symmetry_blocks(n, n_down, bc)
+            reference = scatter_then_gather_blocks(n, n_down, bc)
+            assert len(blocks) == len(reference)
+            for block, expected in zip(blocks, reference):
+                assert (block.dtype, block.shape) == (expected.dtype, expected.shape)
+                assert block.tobytes() == expected.tobytes()
+
+    def test_package_scatters_at_one_call_site(self):
+        # hamiltonian, sector_hamiltonian and symmetry_blocks all go through heisenberg._scatter.
+        package = pathlib.Path(hb.__file__).parent
+        sites = {"np.add.at": [], "np.ix_": []}
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if isinstance(node, ast.Attribute) and ast.unparse(node) in sites:
+                    sites[ast.unparse(node)].append(path.name)
+        assert sites == {"np.add.at": ["heisenberg.py"], "np.ix_": []}
+
+    @pytest.mark.parametrize("n, bc", both_boundaries(range(2, 13)))
     def test_block_sizes_sum_to_the_sector_dimension(self, n, bc):
         # Blocks m = 1..(N-1)/2 stand for block N - m as well.
         order = group_order(n, bc)
@@ -440,15 +522,16 @@ class TestMomentumBlocks:
         assert peak < 4 * 2**20
 
     def test_twelve_site_open_chain_solves_reflection_halves(self):
-        # Half filling splits into 472 + 452 reflection states; the whole
-        # 792 x 792 sector block and its eigvalsh peak at about 10 MB.
+        # Half filling splits into 472 + 452 reflection states. Each block is scattered at its
+        # own size (a 4.8 MiB peak); the whole 924 x 924 sector block alone is 6.5 MiB, and
+        # scattering 472 x 472 for m = 1 before cutting it down to 452 peaks at 6.6 MiB.
         tracemalloc.start()
         try:
             hb.sector_spectra(12, OPEN)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 6 * 2**20
 
     @pytest.mark.parametrize("n, m", [(4, 0), (6, 3), (8, 0), (10, 5), (12, 0)])
     def test_ground_state_momentum_is_pi_n_over_2(self, n, m):

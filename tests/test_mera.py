@@ -846,6 +846,12 @@ class TestEntanglementEntropy:
         psi[0b0101] = 1.0
         assert mera.entanglement_entropy(psi, 2) == 0.0
 
+    def test_cut_must_be_an_integer(self):
+        states = np.eye(16)[:1]
+        with pytest.raises(DomainError, match="cut must be an integer"):
+            mera.entanglement_entropies(states, 1.5)
+        assert mera.entanglement_entropies(states, np.int64(2)).tolist() == [0.0]
+
     def test_trivial_circuit_state_zero(self):
         iso = mera.IsometryParams.trivial(1.0, 0.0, 0.6, 0.8)
         ts = mera.trial_state(gates.entangler_rotation(0.0), iso)

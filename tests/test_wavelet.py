@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mera_lab import wavelet
-from mera_lab.errors import ContractError
+from mera_lab.errors import ContractError, DomainError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -107,6 +107,14 @@ class TestScalingFilterInvariants:
 
 
 class TestAngleReport:
+    @pytest.mark.parametrize(
+        "theta_star, bethe_root", [(math.nan, 0.5), (math.inf, 0.5), (0.1, math.inf), (0.1, -math.inf), (0.1, math.nan)]
+    )
+    def test_non_finite_input_is_refused(self, theta_star, bethe_root):
+        # Without the check NaN entries came back, and an infinite root read as a Bethe angle of pi/2.
+        with pytest.raises(DomainError, match="finite angle and root"):
+            wavelet.angle_report(theta_star, bethe_root)
+
     def test_angle_table_values(self):
         theta_star = -0.5 * np.arcsin(1.0 / np.sqrt(5.0))
         rep = wavelet.angle_report(theta_star, 1.0 / np.sqrt(3.0))
