@@ -22,7 +22,8 @@ degeneracy, counted over all sectors, in one warning line on stderr.
 Each command runs numpy's bundled OpenBLAS on one thread, then restores the
 previous count: no BLAS call of a command, the largest a 472 x 472
 ``eigvalsh``, gains from a second thread, and a call handed to the thread
-pool of a fresh process can wait milliseconds for a sleeping worker.
+pool of a fresh process can wait milliseconds for a sleeping worker.  The
+thread functions are found through numpy's LAPACK extension, which links it.
 """
 
 from __future__ import annotations
@@ -277,15 +278,13 @@ def _attach_signed_floats(argv: list[str]) -> list[str]:
 def _one_blas_thread() -> contextlib.AbstractContextManager:
     """Set numpy's bundled OpenBLAS to one thread; the context returned restores its thread count on exit.
 
-    The library is found among the files mapped into this process, since ``ctypes.util.find_library``
-    starts subprocesses; a numpy without it, or a platform without ``/proc``, keeps OpenBLAS's own count.
+    The thread functions are looked up through numpy's LAPACK extension, which links that OpenBLAS;
+    a numpy without the extension or the functions keeps OpenBLAS's own count.
     """
     try:
-        with open("/proc/self/maps", "rb") as maps:
-            paths = [line.split(maxsplit=5)[5].rstrip() for line in maps if b"libscipy_openblas64_" in line]
-        library = ctypes.CDLL(paths[0])
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         get, set_ = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
-    except (OSError, IndexError, AttributeError):
+    except (OSError, AttributeError):
         return contextlib.nullcontext()
     get.argtypes, get.restype = (), ctypes.c_int
     set_.argtypes, set_.restype = (ctypes.c_int,), None

@@ -212,10 +212,9 @@ def _mirrored_basis(gate_stack: np.ndarray) -> np.ndarray:
     C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with s1 = 0 and t one of the
     four IR columns are formed, in one ``np.einsum`` over the pair of IR
     columns that share an amplitude: the primitive of :func:`circuit_matrix`,
-    so the products and their pair sums carry its bits.  A stack of another
-    shape raises :class:`ShapeError`.
+    so the products and their pair sums carry its bits.  The stack must be
+    [z, 4, 4]; both callers raise :class:`ShapeError` on another shape first.
     """
-    _check_gates(gate_stack, 3)
     # IR columns |0101>, |1010> (amplitude u), then |0110>, |1001> (amplitude q):
     # outer [z, s4, u/q, pair] of U[s1 s4, t1 t4] at s1 = 0, inner [z, s2, s3, u/q, pair].
     outer = gate_stack[:, :2, [1, 2, 0, 3]].reshape(-1, 2, 2, 2)

@@ -716,8 +716,20 @@ class TestThreadCount:
         assert done.returncode == 0, done.stderr
         assert hashlib.sha256(done.stdout.encode()).hexdigest() == ED_STDOUT_SHA256[12, "periodic"]
 
+    #: Probe lines after which every module but the probe's own ``blas_threads`` fails to open ``/proc/self/maps``.
+    MAPS_UNREADABLE = (
+        "import builtins\n"
+        "open = builtins.open\n"
+        "def refuse(file, *args, **kwargs):\n"
+        "    if file == '/proc/self/maps':\n"
+        "        raise OSError('/proc/self/maps cannot be opened')\n"
+        "    return open(file, *args, **kwargs)\n"
+        "builtins.open = refuse\n"
+    )
+
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs at most one thread per usable core")
-    def test_main_runs_each_command_on_one_blas_thread_and_restores_the_count(self):
+    @pytest.mark.parametrize("maps", ["readable", "unreadable"])
+    def test_main_runs_each_command_on_one_blas_thread_and_restores_the_count(self, maps):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
         probe = (
@@ -725,7 +737,8 @@ class TestThreadCount:
             + inspect.getsource(blas_threads)
             + "from mera_lab import cli\n"
             "counts = [blas_threads()]\n"
-            "def cmd_ed(args):\n"
+            + (self.MAPS_UNREADABLE if maps == "unreadable" else "")
+            + "def cmd_ed(args):\n"
             "    counts.append(blas_threads())\n"
             "    return 0\n"
             "cli.cmd_ed = cmd_ed\n"
