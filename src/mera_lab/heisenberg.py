@@ -18,7 +18,8 @@ The ``ed`` command works one Sz sector at a time and never forms the 2^n matrix;
 ``ground_state`` stays dense because its callers need the full state vector,
 and it refuses a degenerate ground state, whose vector would be arbitrary.
 The periodic four-site ring, which every circuit path uses, is built and
-diagonalized once per process by ``four_site_ring``.
+diagonalized once per process by ``four_site_ring``, from ``hamiltonian(4)``
+and ``ground_state(4)``; it is the package's one per-process cache.
 
 ``sector_spectra`` uses the global spin flip and a cyclic site symmetry g
 (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). Flipping every spin complements
@@ -231,7 +232,13 @@ def ground_state(
     Raises ``NumericError`` when the ground state is degenerate, for example
     at 3 periodic or 5 open sites.
     """
-    return _lowest_eigenpair(hamiltonian(n, bc))
+    values, vectors = np.linalg.eigh(hamiltonian(n, bc))
+    count = ground_degeneracy(values)
+    if count > 1:
+        raise NumericError(f"ground state is {count}-fold degenerate at E0 = {values[0]:.12f}; no unique state vector")
+    state = vectors[:, 0].astype(complex)
+    state = state / np.linalg.norm(state)
+    return float(values[0]), _fix_phase(state)
 
 
 def ground_degeneracy(levels: np.ndarray) -> int:
@@ -247,26 +254,16 @@ def ground_degeneracy(levels: np.ndarray) -> int:
     return int(np.count_nonzero(levels <= e0 + _DEGENERACY_TOLERANCE * max(1.0, abs(e0))))
 
 
-def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
-    values, vectors = np.linalg.eigh(h)
-    count = ground_degeneracy(values)
-    if count > 1:
-        raise NumericError(f"ground state is {count}-fold degenerate at E0 = {values[0]:.12f}; no unique state vector")
-    state = vectors[:, 0].astype(complex)
-    state = state / np.linalg.norm(state)
-    return float(values[0]), _fix_phase(state)
-
-
 @functools.cache
 def four_site_ring() -> tuple[np.ndarray, float, np.ndarray]:
     """(H, E0, ground state) of the periodic four-site ring, built once per process.
 
     The optimizers, the check suite, the report and the CLI share these
-    arrays, so they are read-only.  The values are those of
-    ``hamiltonian(4)`` and ``ground_state(4)``, bit for bit.
+    arrays, so they are read-only.  They are ``hamiltonian(4)`` and
+    ``ground_state(4)``.
     """
-    h = hamiltonian(4, BoundaryCondition.PERIODIC)
-    energy, ground = _lowest_eigenpair(h)
+    h = hamiltonian(4)
+    energy, ground = ground_state(4)
     h.setflags(write=False)
     ground.setflags(write=False)
     return h, energy, ground

@@ -45,7 +45,6 @@ modulus with libm ``pow``.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -299,9 +298,8 @@ def optimal_ratios(gate_stack: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
     return values[:, 0], ratios.real, states / gates.norms(states)[:, None], values[:, 1] - values[:, 0]
 
 
-@functools.cache
 def solve_theta_analytic() -> ThetaSolution:
-    """Closed-form entangler angle matching the exact amplitude ratios, computed once per process.
+    """Closed-form entangler angle matching the exact amplitude ratios.
 
     The mirrored family carries amplitudes proportional to
     (r sin(-2 theta), -r cos(-2 theta), 1) on the states |0011>, |0101>,
@@ -320,9 +318,8 @@ def solve_theta_analytic() -> ThetaSolution:
     return ThetaSolution(theta=theta, r=r, energy=energy, fidelity=fidelity(state, ground))
 
 
-@functools.cache
 def solve_theta_numeric() -> float:
-    """Derivative-free cross-check of the closed-form optimal angle, computed once per process.
+    """Derivative-free cross-check of the closed-form optimal angle.
 
     Returns only the angle, a float.  Minimizes the energy of the mirrored
     family over the principal period theta in (-pi/4, pi/4), with the ratio r

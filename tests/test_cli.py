@@ -911,9 +911,33 @@ class TestArgvOnly:
         assert ("checks", "mera") in imported
         assert reads == []
 
+    def test_four_site_ring_is_the_one_cached_function(self):
+        # The package's one per-process cache holds the read-only H(4) and ground state its callers
+        # share; every other function computes its result on each call.
+        package = pathlib.Path(cli.__file__).parent
+        names = ("cache", "lru_cache")
+        cached = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            decorators = set()  # how this module spells the two decorators
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    module = [alias.asname or alias.name for alias in node.names if alias.name == "functools"]
+                    decorators.update(f"{spelling}.{name}" for spelling in module for name in names)
+                elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    decorators.update(alias.asname or alias.name for alias in node.names if alias.name in names)
+            cached.update(
+                (path.stem, node.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for decorator in node.decorator_list
+                if ast.unparse(decorator.func if isinstance(decorator, ast.Call) else decorator) in decorators
+            )
+        assert cached == {("heisenberg", "four_site_ring")}
+
     def test_every_public_function_and_class_has_a_reader_in_the_package(self):
-        # A public function or class that nothing in the package uses is deleted. The two exceptions
-        # are kept for tests/test_acceptance.py, which checks the package against them.
+        # A public function or class that nothing in the package uses is deleted. The one exception
+        # is kept for tests/test_acceptance.py, which checks the package against it.
         package = pathlib.Path(cli.__file__).parent
         defined, used = set(), set()
         for path in sorted(package.glob("*.py")):
@@ -943,4 +967,4 @@ class TestArgvOnly:
                     if reference != own:
                         used.add(reference)
         assert ("mera", "optimal_ratios") in defined & used
-        assert defined - used == {("heisenberg", "ground_state"), ("wavelet", "lattice_filter")}
+        assert defined - used == {("wavelet", "lattice_filter")}

@@ -605,7 +605,6 @@ class TestThetaSolvers:
             return original(gate_stack, h)
 
         monkeypatch.setattr(mera, "optimal_ratios", counting)
-        mera.solve_theta_numeric.cache_clear()
         assert mera.solve_theta_numeric() == cached
         assert solves <= 120
         assert calls <= 100
@@ -622,7 +621,6 @@ class TestThetaSolvers:
             return original(gate_stack, h)
 
         monkeypatch.setattr(mera, "optimal_ratios", recording)
-        mera.solve_theta_numeric.cache_clear()
         theta = mera.solve_theta_numeric()
         assert theta == cached
         assert type(theta) is float
@@ -647,11 +645,7 @@ class TestThetaSolvers:
             return original(func, a, b, xatol)
 
         monkeypatch.setattr(mera, "_minimize_bounded", recording)
-        mera.solve_theta_numeric.cache_clear()
-        try:
-            mera.solve_theta_numeric()
-        finally:
-            mera.solve_theta_numeric.cache_clear()
+        mera.solve_theta_numeric()
         assert brackets == [(grid[501 + k - 1], grid[501 + k + 1])]
 
     def test_energy_stationary_at_optimum(self, h4):
