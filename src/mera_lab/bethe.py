@@ -14,6 +14,7 @@ normalization used in :mod:`mera_lab.heisenberg` (no shift, coupling 1).
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -70,31 +71,21 @@ def bethe_residual(roots: list[complex] | tuple[complex, ...], L: int) -> list[c
 def solve_two_magnon() -> BetheRoots:
     """Symmetric two-magnon solution lambda_1 = -lambda_2 of the L = 4 system.
 
-    Newton iteration on the log (additive-phase) form of the equations,
-    which for the symmetric pair reduces to
+    The log (additive-phase) form of the equations reduces for the symmetric
+    pair to
 
         L * phase(lambda) - phase_pair(2 lambda) = 2 pi,
 
-    with phase(lambda) = 2 atan(1/lambda).  The analytic derivative is
-    -2 (L - 1) / (lambda^2 + 1).  Starting from 0.5 this converges to
-    1/sqrt(3) in a handful of steps.
+    with phase(lambda) = 2 atan(1/lambda) and phase_pair(x) = 2 atan(2/x), so
+    phase_pair(2 lambda) = phase(lambda) and the equation is linear in
+    atan(1/lambda) = pi / (L - 1) = pi / 3.  Hence lambda = 1/sqrt(3), spelled
+    ``1.0 / math.sqrt(3.0)``: IEEE sqrt and division give 0.5773502691896258 on
+    any IEEE-754 platform, the pinned value, one ulp above the correctly
+    rounded 1/sqrt(3) of ``math.sqrt(3.0) / 3.0`` or ``math.tan(math.pi / 6)``.
+    A residual of the full Bethe system above 1e-12 raises :class:`NumericError`.
     """
     L = 4
-
-    def phase_gap(lam: float) -> float:
-        return 2.0 * (L - 1) * np.arctan(1.0 / lam) - 2.0 * np.pi
-
-    def phase_gap_prime(lam: float) -> float:
-        return -2.0 * (L - 1) / (lam * lam + 1.0)
-
-    lam = 0.5
-    for _ in range(100):
-        step = phase_gap(lam) / phase_gap_prime(lam)
-        lam -= step
-        if abs(step) < 1e-15:
-            break
-    else:
-        raise NumericError("Newton iteration for the two-magnon roots did not converge")
+    lam = 1.0 / math.sqrt(3.0)
     residuals = bethe_residual([lam, -lam], L)
     residual_norm = max(abs(r) for r in residuals)
     if residual_norm > 1e-12:

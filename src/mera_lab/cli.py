@@ -76,8 +76,6 @@ def _output(path: str | None) -> contextlib.AbstractContextManager:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    if args.sites != 4 or BoundaryCondition(args.bc) is not BoundaryCondition.PERIODIC:
-        raise UsageError("optimize supports --sites 4 --bc periodic only")
     rep = report.build_report(entangler=args.entangler, tolerance=_resolve_tolerance(args))
     text = report.document_json(rep)
     with _output(args.out) as out:
@@ -121,10 +119,6 @@ def cmd_ed(args: argparse.Namespace) -> int:
 
 
 def cmd_bethe(args: argparse.Namespace) -> int:
-    if args.sites != 4:
-        raise UsageError("bethe supports --sites 4 only")
-    if args.magnons not in (1, 2):
-        raise UsageError("bethe supports --magnons 1 or 2")
     if args.magnons == 2:
         solution = bethe.solve_two_magnon()
         momenta = bethe.momenta_from_roots(solution.roots)
@@ -220,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="optimize the entangler and emit a JSON report")
-    p_opt.add_argument("--sites", type=int, default=4)
-    p_opt.add_argument("--bc", choices=[b.value for b in BoundaryCondition], default="periodic")
+    p_opt.add_argument("--sites", type=int, choices=[4], default=4)
+    p_opt.add_argument("--bc", choices=[BoundaryCondition.PERIODIC.value], default="periodic")
     p_opt.add_argument("--entangler", choices=gates.FAMILIES, default=gates.ROTATION)
     p_opt.add_argument("--out", type=str, default=None)
     p_opt.add_argument("--tolerance", type=float, default=None)
@@ -233,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed.set_defaults(func=cmd_ed)
 
     p_bethe = sub.add_parser("bethe", help="Bethe roots, momenta, and energies")
-    p_bethe.add_argument("--sites", type=int, default=4)
-    p_bethe.add_argument("--magnons", type=int, default=2)
+    p_bethe.add_argument("--sites", type=int, choices=[4], default=4)
+    p_bethe.add_argument("--magnons", type=int, choices=[1, 2], default=2)
     p_bethe.set_defaults(func=cmd_bethe)
 
     p_sweep = sub.add_parser("sweep", help="energy landscape over the entangler angle (CSV)")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ class TestTwoMagnonSolver:
     def test_root_value(self):
         solution = bethe.solve_two_magnon()
         lam = solution.roots[0].real
+        assert lam == 1.0 / math.sqrt(3.0)
         assert abs(lam - 0.5773502691896258) < 1e-12
         assert abs(np.arctan(lam) - np.pi / 6.0) < 1e-12
         assert solution.roots[1] == -solution.roots[0]

@@ -606,6 +606,18 @@ class TestUsage:
         assert main([]) == 2
 
     @pytest.mark.parametrize(
+        "command, shown",
+        [
+            ("optimize", ["--sites {4}", "--bc {periodic}"]),
+            ("bethe", ["--sites {4}", "--magnons {1,2}"]),
+        ],
+    )
+    def test_help_offers_only_the_supported_values(self, capsys, command, shown):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(option in out for option in shown)
+
+    @pytest.mark.parametrize(
         "solver, command",
         [
             ("solve_theta_analytic", ["optimize"]),
