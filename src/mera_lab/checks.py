@@ -164,8 +164,16 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
     asserted("numeric_vs_analytic_theta", abs(mera.solve_theta_numeric() - analytic.theta), 1e-8)
 
     h4, energy_exact, ground = four_site_ring()
-    asserted("variational_energy_matches_exact", abs(analytic.energy - energy_exact), 1e-10)
-    asserted("variational_fidelity", 1.0 - analytic.fidelity, 1e-10)
+
+    def family_state(theta: float) -> np.ndarray:
+        return mera.variational_state(gates.entangler_rotation(theta), analytic.r)
+
+    def family_energy(psi: np.ndarray) -> float:
+        return float(np.vdot(psi, h4 @ psi).real)
+
+    optimum = family_state(analytic.theta)
+    asserted("variational_energy_matches_exact", abs(family_energy(optimum) - energy_exact), 1e-10)
+    asserted("variational_fidelity", 1.0 - mera.fidelity(optimum, ground), 1e-10)
 
     scale = float(np.hypot(1.0, analytic.r))
     iso_star = mera.IsometryParams.trivial(1.0, 0.0, -analytic.r / scale, 1.0 / scale)
@@ -173,12 +181,10 @@ def run_checks(tolerance: float | None = None) -> list[CheckResult]:
     info("raw_circuit_fidelity_at_optimum", mera.fidelity(raw_state, ground))
     info("raw_circuit_spin_flip_asymmetry", float(np.linalg.norm(raw_state - raw_state[::-1])))
 
-    def family_energy(theta: float) -> float:
-        psi = mera.variational_state(gates.entangler_rotation(theta), analytic.r)
-        return float(np.vdot(psi, h4 @ psi).real)
-
     step = 1e-4
-    slope = abs(family_energy(analytic.theta + step) - family_energy(analytic.theta - step)) / (2.0 * step)
+    above = family_energy(family_state(analytic.theta + step))
+    below = family_energy(family_state(analytic.theta - step))
+    slope = abs(above - below) / (2.0 * step)
     asserted("energy_stationary_at_optimum", slope, 1e-6)
 
     return results

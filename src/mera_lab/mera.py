@@ -116,12 +116,10 @@ class TrialState(NamedTuple):
 
 
 class ThetaSolution(NamedTuple):
-    """Optimal entangler angle together with the ratio r = -R01/R10."""
+    """Closed-form optimal entangler angle and ratio r = -R01/R10; ``checks.run_checks`` evaluates the family there."""
 
     theta: float
     r: float
-    energy: float
-    fidelity: float
 
 
 class NuFitResult(NamedTuple):
@@ -206,20 +204,19 @@ def _mirrored_basis(gate_stack: np.ndarray) -> np.ndarray:
 
     Each is the left half (site 1 up) of the circuit output for the IR state
     u (|0101> + |1010>) + q (|0110> + |1001>), completed by its spin-flip
-    image.  Returns an array [z, 2, 16], equal bit for bit to that product
-    with :func:`circuit_matrix`.  Only the circuit entries
-    C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with s1 = 0 and t one of the
-    four IR columns are formed, in one ``np.einsum`` over the pair of IR
-    columns that share an amplitude: the primitive of :func:`circuit_matrix`,
-    so the products and their pair sums carry its bits.  The stack must be
+    image: for C = :func:`circuit_matrix` of the gate, C[:8, 0101] + C[:8, 1010]
+    and C[:8, 0110] + C[:8, 1001], bit for bit, in an array [z, 2, 16].  Only
+    the entries C[s, t] = U[s1 s4, t1 t4] U[s2 s3, t2 t3] with s1 = 0 and t one
+    of the four IR columns are formed, in one ``np.einsum`` over each pair of
+    IR columns, the primitive of :func:`circuit_matrix`: on both sides einsum
+    products summed in pairs, with no BLAS kernel.  The stack must be
     [z, 4, 4]; both callers raise :class:`ShapeError` on another shape first.
     """
     # IR columns |0101>, |1010> (amplitude u), then |0110>, |1001> (amplitude q):
     # outer [z, s4, u/q, pair] of U[s1 s4, t1 t4] at s1 = 0, inner [z, s2, s3, u/q, pair].
     outer = gate_stack[:, :2, [1, 2, 0, 3]].reshape(-1, 2, 2, 2)
     inner = gate_stack[:, :, [2, 1, 3, 0]].reshape(-1, 2, 2, 2, 2)
-    # The BLAS dots that use these rows need them contiguous, as the per-gate
-    # vectors were.
+    # The BLAS dots that use these rows need them contiguous.
     basis = np.empty((len(gate_stack), 2, 16), dtype=complex)
     basis[..., :8] = np.einsum("zdkp,zbckp->zkbcd", outer, inner).reshape(-1, 2, 8)
     basis[..., 8:] = basis[..., 7::-1]
@@ -304,18 +301,12 @@ def solve_theta_analytic() -> ThetaSolution:
     The mirrored family carries amplitudes proportional to
     (r sin(-2 theta), -r cos(-2 theta), 1) on the states |0011>, |0101>,
     |0110>; matching them to the exact-diagonalization ratios 1 : -2 : 1
-    gives sin(-2 theta) = 1/sqrt(5), cos(-2 theta) = 2/sqrt(5), r = sqrt(5),
-    with theta in (-pi/4, 0).
+    gives sin(-2 theta) = 1/sqrt(5), cos(-2 theta) = 2/sqrt(5), so
+    tan(-2 theta) = 1/2 and r = sqrt(5), with theta in (-pi/4, 0).  The
+    spellings ``-0.5 * math.atan(0.5)`` and ``math.sqrt(5.0)`` are chosen
+    for their bits, the pinned -0.23182380450040305 and 2.23606797749979.
     """
-    rho1, rho2 = 1.0, -2.0
-    r = float(np.hypot(rho1, rho2))
-    sin_m2 = rho1 / r
-    cos_m2 = -rho2 / r
-    theta = -0.5 * float(np.arctan2(sin_m2, cos_m2))
-    state = variational_state(gates.entangler_rotation(theta), r)
-    h, _, ground = four_site_ring()
-    energy = float(np.vdot(state, h @ state).real)
-    return ThetaSolution(theta=theta, r=r, energy=energy, fidelity=fidelity(state, ground))
+    return ThetaSolution(theta=-0.5 * math.atan(0.5), r=math.sqrt(5.0))
 
 
 def solve_theta_numeric() -> float:

@@ -11,7 +11,8 @@ t1 + t2 = pi/4, and the constructor builds every filter on it, so the DC
 condition holds by construction.  On that line the filter response also
 vanishes at the band edge, and requiring the first derivative there to
 vanish as well (zero degree-1 alternating moment) singles out t1 = -pi/12:
-the D4 filter of the Daubechies family.
+the D4 filter of the Daubechies family, whose closed-form taps
+:func:`d4_coefficients` checks against the lattice at that angle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, NumericError
 
 _QUARTER_PI = np.pi / 4.0
 
@@ -78,17 +79,18 @@ def lattice_filter(theta1: float) -> ScalingFilter:
 
 
 def d4_coefficients() -> ScalingFilter:
-    """The 4-tap filter with two vanishing moments: ((1+sqrt 3), (3+sqrt 3), (3-sqrt 3), (1-sqrt 3)) / (4 sqrt 2)."""
+    """The 4-tap filter with two vanishing moments: ((1+sqrt 3), (3+sqrt 3), (3-sqrt 3), (1-sqrt 3)) / (4 sqrt 2).
+
+    Taps more than 1e-12 from ``lattice_filter(-pi/12)``, the lattice's
+    vanishing-moment filter, raise :class:`NumericError`.
+    """
     root3 = np.sqrt(3.0)
     scale = 4.0 * np.sqrt(2.0)
-    return ScalingFilter(
-        taps=(
-            float((1.0 + root3) / scale),
-            float((3.0 + root3) / scale),
-            float((3.0 - root3) / scale),
-            float((1.0 - root3) / scale),
-        )
-    )
+    d4 = ScalingFilter(taps=tuple(float(t / scale) for t in (1.0 + root3, 3.0 + root3, 3.0 - root3, 1.0 - root3)))
+    deviation = float(np.max(np.abs(np.subtract(d4.taps, lattice_filter(-np.pi / 12).taps))))
+    if not deviation <= 1e-12:
+        raise NumericError(f"D4 taps differ from the lattice filter at -pi/12 by {deviation:.3e}")
+    return d4
 
 
 def angle_report(theta_star: float, bethe_root: float) -> AngleReport:

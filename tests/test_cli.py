@@ -948,8 +948,7 @@ class TestArgvOnly:
         assert cached == {("heisenberg", "four_site_ring")}
 
     def test_every_public_function_and_class_has_a_reader_in_the_package(self):
-        # A public function or class that nothing in the package uses is deleted. The one exception
-        # is kept for tests/test_acceptance.py, which checks the package against it.
+        # A public function or class that nothing in the package uses is deleted.
         package = pathlib.Path(cli.__file__).parent
         defined, used = set(), set()
         for path in sorted(package.glob("*.py")):
@@ -979,4 +978,4 @@ class TestArgvOnly:
                     if reference != own:
                         used.add(reference)
         assert ("mera", "optimal_ratios") in defined & used
-        assert defined - used == {("wavelet", "lattice_filter")}
+        assert defined - used == set()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mera_lab import gates, mera
 from mera_lab.errors import ContractError, DomainError, NumericError, ShapeError
-from mera_lab.heisenberg import BoundaryCondition, hamiltonian, sector_basis
+from mera_lab.heisenberg import BoundaryCondition, four_site_ring, hamiltonian, sector_basis
 
 from conftest import GROUND_PATTERN, SECTOR_INDICES
 
@@ -376,6 +376,23 @@ class TestMirroredBasis:
             assert bit_equal(pair[0], reference[0])
             assert bit_equal(pair[1], reference[1])
 
+    @settings(deadline=None)
+    @given(
+        thetas=st.lists(ANGLES, min_size=1, max_size=8),
+        nus=st.lists(SPECTRAL_PARAMETERS, min_size=1, max_size=8),
+        entries=st.lists(st.lists(GATE_ENTRIES, min_size=16, max_size=16), max_size=8),
+    )
+    def test_equals_the_pair_sums_of_circuit_matrix_columns_bit_for_bit(self, thetas, nus, entries):
+        # Both sides are np.einsum products and one numpy add, with no BLAS kernel, so no
+        # OpenBLAS core type can move a bit of either.
+        named = [gates.entangler_rotation(t) for t in thetas] + [gates.rmatrix(nu) for nu in nus]
+        stack = np.concatenate([named, np.array(entries, dtype=complex).reshape(-1, 4, 4)])
+        for gate, pair in zip(stack, mera._mirrored_basis(stack)):
+            left = mera.circuit_matrix(gate)[:8]
+            for state, (first, second) in zip(pair, [(0b0101, 0b1010), (0b0110, 0b1001)]):
+                column = left[:, first] + left[:, second]
+                assert bit_equal(state, np.concatenate([column, column[::-1]]))
+
 
 class TestOptimalRatio:
     def test_bit_identical_to_layered_reference(self, h4):
@@ -560,6 +577,26 @@ class TestVariationalState:
             mera.variational_state(np.zeros((4, 4)), 1.0)
 
 
+class TestRawCircuitAtOptimum:
+    """The raw (unmirrored) circuit at theta* on two IR states, u : q = -sqrt(5) : 1."""
+
+    def test_flip_symmetric_ir_state_reaches_25_over_36(self, exact_ground):
+        sol = mera.solve_theta_analytic()
+        omega = np.zeros(16, dtype=complex)
+        omega[[0b0101, 0b1010]] = -sol.r
+        omega[[0b0110, 0b1001]] = 1.0
+        state = mera.circuit_matrix(gates.entangler_rotation(sol.theta)) @ omega
+        assert abs(mera.fidelity(state, exact_ground[1]) - 25.0 / 36.0) < 1e-15
+
+    def test_suite_product_ir_state_reaches_25_over_72(self, exact_ground):
+        # The IR state of the check suite's raw_circuit_fidelity_at_optimum.
+        sol = mera.solve_theta_analytic()
+        scale = float(np.hypot(1.0, sol.r))
+        iso = mera.IsometryParams.trivial(1.0, 0.0, -sol.r / scale, 1.0 / scale)
+        state = mera.trial_state(gates.entangler_rotation(sol.theta), iso).state
+        assert abs(mera.fidelity(state, exact_ground[1]) - 25.0 / 72.0) < 1e-15
+
+
 class TestThetaSolvers:
     def test_analytic_trig_values(self):
         sol = mera.solve_theta_analytic()
@@ -569,15 +606,20 @@ class TestThetaSolvers:
         assert abs(np.tan(-2.0 * sol.theta) - 0.5) < 1e-14
         assert abs(sol.r - root5) < 1e-15
         assert -np.pi / 4 < sol.theta < 0.0
+        # The spellings that give the pinned bits: a respelling fails here, by name.
+        assert sol.theta == -0.5 * math.atan(0.5)
+        assert sol.r == math.sqrt(5.0)
 
     def test_analytic_angle_value(self):
         sol = mera.solve_theta_analytic()
         assert abs(sol.theta / np.pi - (-0.0738)) < 5e-4
 
     def test_analytic_energy_and_fidelity(self):
+        h, _, ground = four_site_ring()
         sol = mera.solve_theta_analytic()
-        assert abs(sol.energy - (-2.0)) < 1e-10
-        assert sol.fidelity >= 1.0 - 1e-10
+        state = mera.variational_state(gates.entangler_rotation(sol.theta), sol.r)
+        assert abs(np.vdot(state, h @ state).real - (-2.0)) < 1e-10
+        assert mera.fidelity(state, ground) >= 1.0 - 1e-10
 
     def test_numeric_agrees_with_analytic(self, h4, exact_ground):
         analytic = mera.solve_theta_analytic()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mera_lab import wavelet
-from mera_lab.errors import ContractError, DomainError
+from mera_lab.errors import ContractError, DomainError, NumericError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -46,6 +46,14 @@ class TestD4:
     def test_shift_two_orthogonality(self):
         taps = wavelet.d4_coefficients().taps
         assert abs(taps[0] * taps[2] + taps[1] * taps[3]) < 1e-13
+
+    def test_taps_off_the_lattice_filter_raise(self, monkeypatch):
+        # The quadratic and DC constraints hold at every lattice angle; only the check
+        # against the vanishing-moment angle catches taps of a neighbouring angle.
+        original = wavelet.lattice_filter
+        monkeypatch.setattr(wavelet, "lattice_filter", lambda theta1: original(theta1 + 1e-9))
+        with pytest.raises(NumericError, match="D4 taps differ from the lattice filter"):
+            wavelet.d4_coefficients()
 
 
 class TestLatticeFilter:
